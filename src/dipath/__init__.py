@@ -76,6 +76,7 @@ from .reparam import (
     mu,
     pl_eval,
     pl_eval_inv,
+    split,
     tensor,
 )
 
@@ -97,5 +98,5 @@ __all__ = [
     "make_obj", "normalize_elem", "pushout_check", "pushout_complex",
     "realize",
     "PLHomeo", "compose", "decompose", "equals", "identity", "inverse",
-    "make_pl", "mu", "pl_eval", "pl_eval_inv", "tensor",
+    "make_pl", "mu", "pl_eval", "pl_eval_inv", "split", "tensor",
 ]

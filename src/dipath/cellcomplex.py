@@ -38,13 +38,16 @@ from .rational import format_fraction, parse_fraction
 from .reparam import (
     PLHomeo,
     compose,
-    decompose,
     inverse,
     mu,
     pl_eval,
-    pl_eval_inv,
     pl_from_json,
+    split,
 )
+
+# t |-> 2t, the time law of every normalized concatenation (shared: frozen)
+_DOUBLING = inverse(mu(2))
+
 
 # ---------------------------------------------------------------------------
 # path expressions
@@ -125,7 +128,7 @@ def np_to_expr(np: NormalPath) -> PathExpr:
     return expr
 
 
-def _sq_norm(z: tuple[Fraction, ...]) -> Fraction:
+def sq_norm(z: tuple[Fraction, ...]) -> Fraction:
     return sum((zi * zi for zi in z), Fraction(0))
 
 
@@ -137,13 +140,7 @@ def repar_normal(np: NormalPath, phi: PLHomeo) -> NormalPath:
         raise LengthMismatchError(
             f"phi lands in [0,{phi.dst_len}] but the path runs on "
             f"[0,{np.total_len}]")
-    cuts = []
-    acc = Fraction(0)
-    for seg in np.segs:
-        acc += seg.length
-        cuts.append(pl_eval_inv(phi, acc))
-    lens = [b - a for a, b in zip([Fraction(0)] + cuts, cuts)]
-    blocks = decompose(phi, lens)
+    blocks = split(phi, [s.length for s in np.segs])
     segs = tuple(Seg(s.cell, s.z, compose(block, s.chi))
                  for s, block in zip(np.segs, blocks))
     return NormalPath(np.start, np.end, segs)
@@ -301,7 +298,7 @@ class Complex:
                 raise EndpointMismatchError(
                     f"cannot concatenate: {left.end} != {right.start}")
             glued = NormalPath(left.start, right.end, left.segs + right.segs)
-            return repar_normal(glued, inverse(mu(2)))
+            return repar_normal(glued, _DOUBLING)
         if isinstance(expr, Repar):
             child = self.normalize(expr.path)
             return repar_normal(child, expr.phi)
@@ -316,7 +313,7 @@ class Complex:
         if step.chi.dst_len != 1:
             raise BadLengthError(
                 f"step time law must land in [0,1], got [0,{step.chi.dst_len}]")
-        sq = _sq_norm(step.z)
+        sq = sq_norm(step.z)
         if sq > 1:
             raise OutOfDomainError(f"point {step.z} outside the closed disk")
         if sq < 1 or cell.disk_dim == 0:
@@ -390,7 +387,7 @@ class Complex:
             if len(seg.z) != cell.disk_dim:
                 raise BadDimError(
                     f"segment in {cell.id}: wrong point arity {len(seg.z)}")
-            if _sq_norm(seg.z) >= 1 and cell.disk_dim > 0:
+            if sq_norm(seg.z) >= 1 and cell.disk_dim > 0:
                 raise OutOfDomainError(
                     f"segment point {seg.z} must be interior")
             if seg.chi.dst_len != 1:
@@ -413,6 +410,8 @@ class Complex:
         directed cycles."""
         if src not in self._arcs or dst not in self._arcs:
             raise UnknownStateError(f"unknown state {src!r} or {dst!r}")
+        if max_len is not None and max_len < 0:
+            raise BadInputError(f"carrier bound must be >= 0, got {max_len}")
         if max_len is None and not self.loop_free:
             raise UnboundedEnumerationError(
                 "complex has loops: pass an explicit carrier bound")

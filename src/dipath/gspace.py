@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import BadInputError, DuplicateLabelError, LengthChainMismatchError
 from .rational import as_length, format_fraction, parse_fraction
-from .reparam import PLHomeo, compose, decompose, identity, pl_eval_inv, pl_from_json
+from .reparam import PLHomeo, compose, identity, pl_from_json, split
 
 
 @dataclass(frozen=True)
@@ -114,19 +114,12 @@ def elem_make(outer: PLHomeo, parts: Sequence[tuple[str, PLHomeo]]) -> TensorEle
 def elem_normalize(elem: TensorElem) -> TensorElem:
     """Absorb the outer map into the factors.
 
-    Block lengths are the outer-preimages of the factor partial sums; the
-    outer map decomposes along them and each block composes into the
-    corresponding twist.  Idempotent.
+    The outer map splits at the preimages of the factor partial sums and
+    each block composes into the corresponding twist.  Idempotent.
     """
     if elem.is_canonical():
         return elem
-    cuts = []
-    acc = Fraction(0)
-    for f in elem.factors:
-        acc += f.length
-        cuts.append(pl_eval_inv(elem.outer, acc))
-    block_lens = [b - a for a, b in zip([Fraction(0)] + cuts, cuts)]
-    blocks = decompose(elem.outer, block_lens)
+    blocks = split(elem.outer, [f.length for f in elem.factors])
     factors = tuple(
         Factor(f.label, compose(block, f.twist))
         for f, block in zip(elem.factors, blocks))

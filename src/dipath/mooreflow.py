@@ -17,6 +17,7 @@ from fractions import Fraction
 from .cellcomplex import Cell, Complex, ComplexDesc, validate
 from .errors import (
     BadInputError,
+    EngineError,
     HasLoopsError,
     HigherCellsPresentError,
 )
@@ -244,7 +245,9 @@ def fundamental_category_full(cx: Complex):
                 for sub, rep in ((lhs, rhs), (rhs, lhs)):
                     for i in _occurrences(w, sub):
                         w2 = w[:i] + rep + w[i + len(sub):]
-                        assert w2 in wset, "congruence left the word set"
+                        if w2 not in wset:
+                            raise EngineError(
+                                f"congruence left the word set at {w2}")
                         uf.union(w, w2)
         groups = uf.classes()
         reps = tuple(g[0] for g in groups)

@@ -35,6 +35,7 @@ from .cellcomplex import (
     normal_path_to_json,
     np_to_expr,
     repar_normal,
+    sq_norm,
     validate,
 )
 from .errors import (
@@ -42,6 +43,7 @@ from .errors import (
     BadLengthError,
     ComplexMismatchError,
     EndpointMismatchError,
+    EngineError,
     NoBoundaryDataError,
     NotComposableHereError,
     OutOfDomainError,
@@ -49,6 +51,9 @@ from .errors import (
 )
 from .rational import format_fraction, parse_fraction
 from .reparam import PLHomeo, mu, pl_from_json
+
+# the time law of every witness slot; PLHomeo is frozen, so one is shared
+_UNIT = mu(1)
 
 Triple = tuple[str, int, str]
 
@@ -114,10 +119,6 @@ class ReedyElem:
     entries: tuple[Entry, ...]
 
 
-def _sq_norm(z: tuple[Fraction, ...]) -> Fraction:
-    return sum((zi * zi for zi in z), Fraction(0))
-
-
 def make_elem(obj: ReedyObj, entries, base: Complex) -> ReedyElem:
     entries = tuple(entries)
     if len(entries) != len(obj.triples):
@@ -142,7 +143,7 @@ def make_elem(obj: ReedyObj, entries, base: Complex) -> ReedyElem:
         elif isinstance(entry, CellPath):
             if e != 1:
                 raise BadInputError("flag-0 slot holds a cell path")
-            if _sq_norm(entry.z) > 1:
+            if sq_norm(entry.z) > 1:
                 raise OutOfDomainError(
                     f"cell point {entry.z} outside the closed disk")
             if entry.chi.dst_len != 1:
@@ -167,7 +168,8 @@ def apply_composition(elem: ReedyElem, i: int) -> ReedyElem:
             f"slots {i} and {i+1} are not both flag 0")
     left = elem.entries[i]
     right = elem.entries[i + 1]
-    assert isinstance(left, APath) and isinstance(right, APath)
+    if not (isinstance(left, APath) and isinstance(right, APath)):
+        raise EngineError(f"flag-0 slots {i} and {i+1} hold no base paths")
     merged = NormalPath(left.path.start, right.path.end,
                         left.path.segs + right.path.segs)
     obj = ReedyObj(elem.obj.u, elem.obj.v,
@@ -187,7 +189,8 @@ def apply_inclusion(elem: ReedyElem, i: int) -> ReedyElem:
             f"slot {i} is not a flag-0 slot running "
             f"{elem.obj.u} -> {elem.obj.v}")
     entry = elem.entries[i]
-    assert isinstance(entry, APath)
+    if not isinstance(entry, APath):
+        raise EngineError(f"flag-0 slot {i} holds no base path")
     obj = ReedyObj(elem.obj.u, elem.obj.v,
                    trips[:i] + ((a, 1, b),) + trips[i + 1:])
     return ReedyElem(obj, elem.entries[:i] + (InjPath(entry.path),)
@@ -226,7 +229,7 @@ def _demotions(elem: ReedyElem, base: Complex, cell: Cell) -> list[int]:
                 raise ComplexMismatchError(
                     f"cell point arity {len(entry.z)} does not match "
                     f"disk dimension {cell.disk_dim}")
-            if _sq_norm(entry.z) == 1:
+            if sq_norm(entry.z) == 1:
                 out.append(i)
     return out
 
@@ -235,9 +238,10 @@ def _demote(elem: ReedyElem, i: int, base: Complex, cell: Cell) -> ReedyElem:
     entry = elem.entries[i]
     if isinstance(entry, InjPath):
         path = entry.path
-    else:
-        assert isinstance(entry, CellPath)
+    elif isinstance(entry, CellPath):
         path = repar_normal(_boundary_path(base, cell, entry.z), entry.chi)
+    else:
+        raise EngineError(f"slot {i} holds no demotable entry")
     a, _, b = elem.obj.triples[i]
     obj = ReedyObj(elem.obj.u, elem.obj.v,
                    elem.obj.triples[:i] + ((a, 0, b),)
@@ -282,7 +286,8 @@ def normalize_elem(elem: ReedyElem, base: Complex, cell: Cell) -> ReedyElem:
             if not demotions:
                 return current
             nxt = _demote(current, demotions[0], base, cell)
-        assert degree(nxt.obj) < degree(current.obj), "degree must decrease"
+        if degree(nxt.obj) >= degree(current.obj):
+            raise EngineError("rewrite step did not decrease the degree")
         current = nxt
 
 
@@ -373,7 +378,7 @@ def _witness_elem(base: Complex, cell: Cell, runs) -> ReedyElem:
         if run == ("CELL",):
             triples.append((cell.src, 1, cell.dst))
             z = (Fraction(0),) * cell.disk_dim
-            entries.append(CellPath(z, mu(1)))
+            entries.append(CellPath(z, _UNIT))
         else:
             word, a, b = run
             if not word:
@@ -383,7 +388,7 @@ def _witness_elem(base: Complex, cell: Cell, runs) -> ReedyElem:
             for cid in word:
                 c = base.cell(cid)
                 z = (Fraction(0),) * c.disk_dim
-                segs.append(Seg(cid, z, mu(1)))
+                segs.append(Seg(cid, z, _UNIT))
             entries.append(APath(NormalPath(a, b, tuple(segs))))
     obj = make_obj(cell.src, cell.dst, triples)
     return make_elem(obj, entries, base)

@@ -19,7 +19,7 @@ from .reparam import (
     identity,
     inverse,
     mu,
-    pl_eval_inv,
+    split,
     tensor,
 )
 from .sampling import (
@@ -104,13 +104,7 @@ def identity_pair(rng: Random, cx, spine, kind):
         gammas = rand_composable_unit_paths(rng, cx, spine, n)
         phi = rand_pl(rng, 1, 1)
         dyadic = _dyadic(n)
-        cuts = []
-        acc = Fraction(0)
-        for d in dyadic:
-            acc += d
-            cuts.append(pl_eval_inv(phi, acc))
-        lens = [b - a for a, b in zip([Fraction(0)] + cuts, cuts)]
-        phis = decompose(phi, lens)
+        phis = split(phi, dyadic)
         lhs = Repar(_normcomp_chain(gammas), phi)
         rhs = _moore_chain([Repar(_scaled(g, d), p)
                             for g, d, p in zip(gammas, dyadic, phis)])

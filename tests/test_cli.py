@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import dipath
 from dipath.cli import run
 
@@ -94,6 +96,19 @@ def test_carriers_loop_needs_bound(corpus_dir, capsys):
                          "--from", "0", "--to", "1", "--bound", "2")
     assert status == 0
     assert json.loads(out)["carriers"] == [["e"], ["l", "e"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("carriers", "square", "--from", "bot", "--to", "top", "--bound", "-3"),
+    ("pushout-check", "triangle", "--cell", "t", "--bound", "-3"),
+    ("counit-check", "square", "--bound", "-3"),
+])
+def test_negative_bound_is_rejected(corpus_dir, capsys, argv):
+    command, name, *rest = argv
+    status, out = invoke(capsys, command, str(corpus_dir / f"{name}.json"),
+                         *rest)
+    assert status == 2
+    assert json.loads(out)["error"] == "bad_input"
 
 
 def test_fundcat_square(corpus_dir, capsys):

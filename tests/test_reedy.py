@@ -15,6 +15,7 @@ from dipath.cellcomplex import (
 )
 from dipath.errors import (
     ComplexMismatchError,
+    EngineError,
     NoBoundaryDataError,
     NotComposableHereError,
     WrongEndpointsError,
@@ -160,6 +161,20 @@ def test_inj_entries_are_demoted():
     nf = normalize_elem(e, cx, cell)
     assert nf.obj.triples == (("1", 0, "1"),)
     assert nf.entries[0] == APath(p)
+
+
+def test_degree_guard_raises_engine_error(monkeypatch):
+    # The guard is a raise, not an assert, so it holds under python -O too.
+    import dipath.reedy as reedy_mod
+
+    cx = chain_base(3)
+    cell = edge("g", "s0", "s3")
+    obj = make_obj("s0", "s3", [("s0", 0, "s1"), ("s1", 0, "s3")])
+    e = make_elem(obj, [APath(unit_path(cx, ("e1",))),
+                        APath(unit_path(cx, ("e2", "e3")))], cx)
+    monkeypatch.setattr(reedy_mod, "degree", lambda obj: 1)
+    with pytest.raises(EngineError, match="degree"):
+        normalize_elem(e, cx, cell)
 
 
 def test_normalize_elem_idempotent_and_simplified():

@@ -9,6 +9,8 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dipath.errors import (
     BadEndpointsError,
@@ -19,6 +21,8 @@ from dipath.errors import (
 )
 from dipath.reparam import (
     PLHomeo,
+    _canonical,
+    _ints,
     compose,
     decompose,
     equals,
@@ -29,6 +33,7 @@ from dipath.reparam import (
     pl_eval,
     pl_eval_inv,
     pl_from_json,
+    split,
     tensor,
 )
 from dipath.sampling import rand_partition, rand_pl
@@ -235,3 +240,116 @@ def test_partial_sum_decomposition_property():
 def test_direct_construction_is_discouraged_but_equal_when_canonical():
     shady = PLHomeo(((F(0), F(0)), (F(1), F(1))))
     assert shady == identity(1)
+
+
+# ---------------------------------------------------------------------------
+# property tests of the integer-pair sweeps against slow Fraction oracles
+
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
+lengths = st.builds(F, st.integers(1, 24), st.sampled_from([1, 2, 3, 4, 6, 7]))
+
+
+def grid_points(draw, total, k):
+    """k distinct ascending interior points of (0, total) on a random grid."""
+    if k == 0:
+        return []
+    grid = draw(st.integers(k + 1, 4 * k + 8))
+    cells = draw(st.lists(st.integers(1, grid - 1), min_size=k, max_size=k,
+                          unique=True))
+    return [total * F(c, grid) for c in sorted(cells)]
+
+
+@st.composite
+def pl_maps(draw, src=None, dst=None, max_breaks=24):
+    src = draw(lengths) if src is None else src
+    dst = draw(lengths) if dst is None else dst
+    k = draw(st.integers(0, max_breaks - 2))
+    xs = grid_points(draw, src, k)
+    ys = grid_points(draw, dst, k)
+    return make_pl(src, dst, [(0, 0), *zip(xs, ys), (src, dst)])
+
+
+@st.composite
+def partitions(draw, total, max_parts=12):
+    n = draw(st.integers(1, max_parts))
+    cuts = grid_points(draw, total, n - 1)
+    return [b - a for a, b in zip([F(0), *cuts], [*cuts, total])]
+
+
+@st.composite
+def map_and_partition(draw, axis, max_breaks=24):
+    phi = draw(pl_maps(max_breaks=max_breaks))
+    return phi, draw(partitions(phi.breaks[-1][axis]))
+
+
+def assert_blocks_of(phi, blocks):
+    """Each block is phi between consecutive cuts, shifted to start at
+    (0, 0), with strictly increasing breaks; checked by the oracle."""
+    a = F(0)
+    for block in blocks:
+        bs = block.breaks
+        assert all(x1 < x2 and y1 < y2
+                   for (x1, y1), (x2, y2) in zip(bs, bs[1:]))
+        fa = oracle_eval(phi.breaks, a)
+        for t, v in bs:
+            assert oracle_eval(phi.breaks, a + t) - fa == v
+        a += block.src_len
+    assert a == phi.src_len
+
+
+@PROPERTY
+@given(map_and_partition(axis=1))
+def test_split_matches_cuts_then_decompose(case):
+    phi, dst_lens = case
+    cuts, acc = [], F(0)
+    for ell in dst_lens:
+        acc += ell
+        cuts.append(pl_eval_inv(phi, acc))
+    src_lens = [b - a for a, b in zip([F(0)] + cuts, cuts)]
+    blocks = split(phi, dst_lens)
+    assert blocks == decompose(phi, src_lens)
+    assert [b.dst_len for b in blocks] == dst_lens
+    assert_blocks_of(phi, blocks)
+    assert tensor(*blocks) == phi
+
+
+@PROPERTY
+@given(st.data())
+def test_compose_matches_pointwise_composite(data):
+    phi = data.draw(pl_maps())
+    psi = data.draw(pl_maps(src=phi.dst_len))
+    comp = compose(phi, psi)
+    pulled = [oracle_eval([(y, x) for x, y in phi.breaks], u)
+              for u, _ in psi.breaks]
+    times = {x for x, _ in phi.breaks + comp.breaks} | set(pulled)
+    for t in times:
+        expected = oracle_eval(psi.breaks, oracle_eval(phi.breaks, t))
+        assert oracle_eval(comp.breaks, t) == expected
+        assert pl_eval(psi, pl_eval(phi, t)) == expected
+
+
+@PROPERTY
+@given(map_and_partition(axis=0, max_breaks=128))
+def test_tensor_undoes_decompose_on_long_maps(case):
+    phi, lens = case
+    blocks = decompose(phi, lens)
+    assert [b.src_len for b in blocks] == lens
+    assert_blocks_of(phi, blocks)
+    assert tensor(*blocks) == phi
+
+
+@PROPERTY
+@given(st.data())
+def test_canonical_leaves_no_collinear_break(data):
+    phi = data.draw(pl_maps())
+    pts = list(phi.breaks)
+    # put extra breaks on the graph of phi, which canonical must drop again
+    for i in sorted(data.draw(st.sets(st.integers(0, len(pts) - 2))),
+                    reverse=True):
+        (x1, y1), (x2, y2) = pts[i], pts[i + 1]
+        r = data.draw(st.sampled_from([F(1, 2), F(1, 3), F(3, 4)]))
+        pts.insert(i + 1, (x1 + r * (x2 - x1), y1 + r * (y2 - y1)))
+    out = _canonical(_ints(pts))
+    assert out == phi.breaks
+    for (x1, y1), (x2, y2), (x3, y3) in zip(out, out[1:], out[2:]):
+        assert (y2 - y1) * (x3 - x2) != (y3 - y2) * (x2 - x1)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Union
 
 from .errors import (
     BadDimError,
@@ -201,6 +202,7 @@ class Complex:
         self._arcs: dict[str, list[Cell]] = {s: [] for s in desc.states}
         for cell in sorted(desc.cells, key=lambda c: c.id):
             self._arcs[cell.src].append(cell)
+        self._carrier_tables: dict[Optional[int], Mapping] = {}
 
     # -- construction-time checks
 
@@ -382,17 +384,18 @@ class Complex:
     def check_normal_path(self, np: NormalPath) -> NormalPath:
         if not np.segs:
             raise BadInputError("a path has at least one segment")
+        chain = []
         for seg in np.segs:
             cell = self.cell(seg.cell)
+            chain.append(cell)
             if len(seg.z) != cell.disk_dim:
                 raise BadDimError(
                     f"segment in {cell.id}: wrong point arity {len(seg.z)}")
-            if sq_norm(seg.z) >= 1 and cell.disk_dim > 0:
+            if cell.disk_dim > 0 and sq_norm(seg.z) >= 1:
                 raise OutOfDomainError(
                     f"segment point {seg.z} must be interior")
             if seg.chi.dst_len != 1:
                 raise BadLengthError("segment time law must land in [0,1]")
-        chain = [self.cell(s.cell) for s in np.segs]
         for a, b in zip(chain, chain[1:]):
             if a.dst != b.src:
                 raise EndpointMismatchError(
@@ -403,33 +406,65 @@ class Complex:
 
     # -- carrier enumeration
 
+    def carrier_table(self, bound: Optional[int] = None
+                      ) -> Mapping[tuple[str, str], tuple[tuple[str, ...], ...]]:
+        """Every carrier word of at most ``bound`` cells (all of them when
+        None), grouped by (src, dst) in state order and sorted within each
+        pair; pairs without carriers are absent.  One walk per source state,
+        computed once per bound: the complex is immutable, so the table is
+        cached and shared, read-only, by every caller."""
+        try:
+            return self._carrier_tables[bound]
+        except KeyError:
+            pass
+        self._check_carrier_bound(bound)
+        table = {}
+        for src in self.states:
+            found = self._walk_carriers(src, bound)
+            for dst in self.states:
+                if dst in found:
+                    table[(src, dst)] = tuple(sorted(found[dst]))
+        self._carrier_tables[bound] = MappingProxyType(table)
+        return self._carrier_tables[bound]
+
     def enumerate_carriers(self, src: str, dst: str,
                            max_len: Optional[int] = None) -> list[tuple[str, ...]]:
         """All cell words realizable as carriers of paths src -> dst, in
-        lexicographic order.  A bound is required when the complex has
-        directed cycles."""
+        sorted order.  ``max_len`` is required when the complex has
+        directed cycles.  Read from the carrier table when it is already
+        built; otherwise one walk from ``src`` keeping only words to ``dst``."""
         if src not in self._arcs or dst not in self._arcs:
             raise UnknownStateError(f"unknown state {src!r} or {dst!r}")
-        if max_len is not None and max_len < 0:
-            raise BadInputError(f"carrier bound must be >= 0, got {max_len}")
-        if max_len is None and not self.loop_free:
+        table = self._carrier_tables.get(max_len)
+        if table is not None:
+            return list(table.get((src, dst), ()))
+        self._check_carrier_bound(max_len)
+        return sorted(self._walk_carriers(src, max_len, dst).get(dst, ()))
+
+    def _check_carrier_bound(self, bound: Optional[int]) -> None:
+        if bound is not None and bound < 0:
+            raise BadInputError(f"carrier bound must be >= 0, got {bound}")
+        if bound is None and not self.loop_free:
             raise UnboundedEnumerationError(
                 "complex has loops: pass an explicit carrier bound")
-        out: list[tuple[str, ...]] = []
-        word: list[str] = []
 
-        def walk(state: str) -> None:
-            if word and state == dst:
-                out.append(tuple(word))
-            if max_len is not None and len(word) >= max_len:
-                return
+    def _walk_carriers(self, src: str, bound: Optional[int],
+                       dst: Optional[str] = None
+                       ) -> dict[str, list[tuple[str, ...]]]:
+        """Carrier words from ``src`` of at most ``bound`` cells, by end
+        state (only those ending at ``dst`` when it is given)."""
+        found: dict[str, list[tuple[str, ...]]] = {}
+        stack: list[tuple[str, tuple[str, ...]]] = [(src, ())]
+        while stack:
+            state, word = stack.pop()
+            if bound is not None and len(word) >= bound:
+                continue
             for cell in self._arcs[state]:
-                word.append(cell.id)
-                walk(cell.dst)
-                word.pop()
-
-        walk(src)
-        return sorted(out)
+                longer = word + (cell.id,)
+                if dst is None or cell.dst == dst:
+                    found.setdefault(cell.dst, []).append(longer)
+                stack.append((cell.dst, longer))
+        return found
 
 
 def validate(desc: ComplexDesc) -> Complex:
@@ -513,13 +548,22 @@ def cell_to_json(cell: Cell) -> dict:
     return out
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer field; floats, booleans and strings are refused."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise BadInputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def cell_from_json(data) -> Cell:
+    if not isinstance(data, dict):
+        raise BadInputError(f"malformed cell: {data!r}")
     try:
         minus = data.get("boundary_minus")
         plus = data.get("boundary_plus")
         return Cell(
             id=str(data["id"]),
-            disk_dim=int(data["dim"]),
+            disk_dim=json_int(data["dim"], f"dim of cell {data['id']}"),
             src=str(data["from"]),
             dst=str(data["to"]),
             boundary_minus=expr_from_json(minus) if minus is not None else None,
@@ -536,6 +580,10 @@ def complex_to_json(desc: ComplexDesc) -> dict:
 
 def complex_from_json(data) -> ComplexDesc:
     try:
+        for field in ("states", "cells"):
+            if not isinstance(data[field], list):
+                raise BadInputError(
+                    f"complex {field} must be a list, got {data[field]!r}")
         states = tuple(str(s) for s in data["states"])
         cells = tuple(cell_from_json(c) for c in data["cells"])
     except (KeyError, TypeError) as exc:

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .gspace import FreeGSpace, free, pair_label
 from .rational import format_fraction
-from .reedy import pushout_check
+from .reedy import _check_pushout, pushout_complex
 
 Word = tuple[str, ...]
 
@@ -123,14 +123,19 @@ def globe_roundtrip(length, labels) -> dict:
 
 
 def counit_check(cx: Complex, bound: int) -> dict:
-    """Run the pushout carrier check at every attachment step."""
+    """Run the pushout carrier check at every attachment step.
+
+    The pushout of one step is the base of the next, so each prefix is
+    validated once and its carrier table serves both of its steps."""
     steps = []
     ok = True
-    for i, cell in enumerate(cx.desc.cells):
-        base = validate(ComplexDesc(cx.desc.states, cx.desc.cells[:i]))
-        report = pushout_check(base, cell, bound)
+    base = validate(ComplexDesc(cx.desc.states, ()))
+    for cell in cx.desc.cells:
+        pushout = pushout_complex(base, cell)
+        report = _check_pushout(base, pushout, cell, bound)
         ok = ok and report["bijection"]
         steps.append(report)
+        base = pushout
     return {"bound": bound, "steps": steps, "ok": ok}
 
 
@@ -195,18 +200,14 @@ def _flatten_to_edges(cx: Complex, cid: str, memo: dict) -> Word:
     return word
 
 
-def _occurrences(word: Word, sub: Word):
-    n, k = len(word), len(sub)
-    return [i for i in range(n - k + 1) if word[i:i + k] == sub]
-
-
 def fundamental_category_full(cx: Complex):
     """The flow presentation plus the full word-to-class tables.
 
     Edge words between each pair of states are identified by the congruence
     generated, for every globe, by its two boundary edge words; the closure
     under left and right composition comes from replacing occurrences inside
-    longer words.
+    longer words.  The relation sides are indexed by length, so each word
+    slides one window per side length.
     """
     if not cx.loop_free:
         raise HasLoopsError("fundamental category needs a loop-free complex")
@@ -216,7 +217,8 @@ def fundamental_category_full(cx: Complex):
     edges = tuple(c for c in cx.desc.cells if c.disk_dim == 0)
     skeleton = validate(ComplexDesc(cx.desc.states, edges))
     memo: dict = {}
-    relations = []
+    # side length -> side -> the words it may be replaced by
+    rewrites: dict[int, dict[Word, list[Word]]] = {}
     for cell in cx.desc.cells:
         if cell.disk_dim != 1:
             continue
@@ -226,25 +228,20 @@ def fundamental_category_full(cx: Complex):
         rhs = tuple(x for c in plus.carrier()
                     for x in _flatten_to_edges(cx, c, memo))
         if lhs != rhs:
-            relations.append((lhs, rhs))
-
-    words: dict[tuple[str, str], list[Word]] = {}
-    for a in cx.states:
-        for b in cx.states:
-            ws = skeleton.enumerate_carriers(a, b)
-            if ws:
-                words[(a, b)] = ws
+            for sub, rep in ((lhs, rhs), (rhs, lhs)):
+                by_side = rewrites.setdefault(len(sub), {})
+                by_side.setdefault(sub, []).append(rep)
 
     class_of: dict[tuple[str, str], dict[Word, int]] = {}
     homs: dict[tuple[str, str], tuple[Word, ...]] = {}
-    for pair, ws in words.items():
+    for pair, ws in skeleton.carrier_table().items():
         uf = _UnionFind(ws)
         wset = set(ws)
         for w in ws:
-            for lhs, rhs in relations:
-                for sub, rep in ((lhs, rhs), (rhs, lhs)):
-                    for i in _occurrences(w, sub):
-                        w2 = w[:i] + rep + w[i + len(sub):]
+            for k, by_side in rewrites.items():
+                for i in range(len(w) - k + 1):
+                    for rep in by_side.get(w[i:i + k], ()):
+                        w2 = w[:i] + rep + w[i + k:]
                         if w2 not in wset:
                             raise EngineError(
                                 f"congruence left the word set at {w2}")

@@ -20,20 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Union
 
 from .cellcomplex import (
     Cell,
     Complex,
     ComplexDesc,
-    Moore,
     NormalPath,
     Seg,
     Step,
     normal_path_from_json,
     normal_path_to_json,
-    np_to_expr,
+    json_int,
     repar_normal,
     sq_norm,
     validate,
@@ -52,8 +50,10 @@ from .errors import (
 from .rational import format_fraction, parse_fraction
 from .reparam import PLHomeo, mu, pl_from_json
 
-# the time law of every witness slot; PLHomeo is frozen, so one is shared
+# the time law and disk coordinate of every witness slot; both are
+# immutable, so one of each is shared
 _UNIT = mu(1)
+_ZERO = Fraction(0)
 
 Triple = tuple[str, int, str]
 
@@ -68,7 +68,8 @@ class ReedyObj:
 
 
 def make_obj(u: str, v: str, triples) -> ReedyObj:
-    trips = tuple((str(a), int(e), str(b)) for a, e, b in triples)
+    trips = tuple((str(a), json_int(e, "triple flag"), str(b))
+                  for a, e, b in triples)
     if not trips:
         raise BadInputError("an index object needs at least one triple")
     for (_, e, b), (a2, _, _) in zip(trips, trips[1:]):
@@ -300,30 +301,29 @@ def pushout_complex(base: Complex, cell: Cell) -> Complex:
 
 
 def realize(elem: ReedyElem, pushout: Complex, cell_id: str) -> NormalPath:
-    """The concatenated path of X named by the element's slots."""
+    """The concatenated path of X named by the element's slots.
+
+    Base paths are normal forms already, so each is only checked against
+    the pushout; a pass through the cell is normalized, which resolves a
+    boundary point to its attached path."""
     cell = pushout.cell(cell_id)
     _check_cell(elem, cell)
-    exprs = []
+    parts = []
     for entry in elem.entries:
         if isinstance(entry, (APath, InjPath)):
-            exprs.append(np_to_expr(entry.path))
+            parts.append(pushout.check_normal_path(entry.path))
         else:
-            exprs.append(Step(cell_id, entry.z, entry.chi))
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = Moore(out, e)
-    return pushout.normalize(out)
+            parts.append(pushout.normalize(Step(cell_id, entry.z, entry.chi)))
+    for left, right in zip(parts, parts[1:]):
+        if left.end != right.start:
+            raise EndpointMismatchError(
+                f"cannot concatenate: {left.end} != {right.start}")
+    return NormalPath(parts[0].start, parts[-1].end,
+                      tuple(seg for part in parts for seg in part.segs))
 
 
 # ---------------------------------------------------------------------------
 # carrier-level pushout verification
-
-
-def _a_carriers(base: Complex, bound: int) -> dict[tuple[str, str], list]:
-    table = {}
-    for a, b in product(base.states, repeat=2):
-        table[(a, b)] = base.enumerate_carriers(a, b, bound)
-    return table
 
 
 def _interleavings(base: Complex, cell: Cell, bound: int):
@@ -334,7 +334,7 @@ def _interleavings(base: Complex, cell: Cell, bound: int):
     are adjacent.  Yields (word, runs) pairs; runs keep the slot structure
     for building witness elements.
     """
-    table = _a_carriers(base, bound)
+    table = base.carrier_table(bound)
     u, v = cell.src, cell.dst
     out = []
 
@@ -344,14 +344,15 @@ def _interleavings(base: Complex, cell: Cell, bound: int):
         if final:
             for target in base.states:
                 for word in ([()] if target == state else []) + [
-                        w for w in table[(state, target)] if len(w) <= budget]:
+                        w for w in table.get((state, target), ())
+                        if len(w) <= budget]:
                     out.append((prefix_word + word,
                                 prefix_runs + ((word, state, target),)))
         else:
             if budget < 1:
                 return
             choices = ([()] if state == u else []) + [
-                w for w in table[(state, u)] if len(w) < budget]
+                w for w in table.get((state, u), ()) if len(w) < budget]
             for word in choices:
                 cell_slot = prefix_runs + ((word, state, u), ("CELL",))
                 runs_from(v, budget - len(word) - 1,
@@ -370,26 +371,23 @@ def _interleavings(base: Complex, cell: Cell, bound: int):
     return out
 
 
-def _witness_elem(base: Complex, cell: Cell, runs) -> ReedyElem:
-    """A concrete simplified element realizing the given slot structure."""
+def _witness_elem(base: Complex, cell: Cell, runs, units: dict[str, Seg],
+                  through: CellPath) -> ReedyElem:
+    """A concrete simplified element realizing the given slot structure:
+    unit-speed passes through the centre of every cell."""
     triples = []
     entries = []
     for run in runs:
         if run == ("CELL",):
             triples.append((cell.src, 1, cell.dst))
-            z = (Fraction(0),) * cell.disk_dim
-            entries.append(CellPath(z, _UNIT))
+            entries.append(through)
         else:
             word, a, b = run
             if not word:
                 continue
             triples.append((a, 0, b))
-            segs = []
-            for cid in word:
-                c = base.cell(cid)
-                z = (Fraction(0),) * c.disk_dim
-                segs.append(Seg(cid, z, _UNIT))
-            entries.append(APath(NormalPath(a, b, tuple(segs))))
+            entries.append(APath(NormalPath(
+                a, b, tuple(units[cid] for cid in word))))
     obj = make_obj(cell.src, cell.dst, triples)
     return make_elem(obj, entries, base)
 
@@ -402,23 +400,29 @@ def pushout_check(base: Complex, cell: Cell, bound: int) -> dict:
     rewriting fixpoint whose realization has the predicted carrier.  The
     right list enumerates the pushout's carriers directly.
     """
-    pushout = pushout_complex(base, cell)
+    return _check_pushout(base, pushout_complex(base, cell), cell, bound)
+
+
+def _check_pushout(base: Complex, pushout: Complex, cell: Cell,
+                   bound: int) -> dict:
+    """:func:`pushout_check` against an already validated pushout."""
     lhs_pairs = _interleavings(base, cell, bound)
     lhs = sorted(word for word, _ in lhs_pairs)
     if len(set(lhs)) != len(lhs):
-        raise AssertionError("shape enumeration produced duplicate carriers")
+        raise EngineError("shape enumeration produced duplicate carriers")
+    units = {c.id: Seg(c.id, (_ZERO,) * c.disk_dim, _UNIT)
+             for c in base.desc.cells}
+    through = CellPath((_ZERO,) * cell.disk_dim, _UNIT)
     for word, runs in lhs_pairs:
-        elem = _witness_elem(base, cell, runs)
+        elem = _witness_elem(base, cell, runs, units, through)
         if not is_simplified(elem, base, cell):
-            raise AssertionError(f"witness for {word} is not simplified")
+            raise EngineError(f"witness for {word} is not simplified")
         realized = realize(elem, pushout, cell.id)
         if realized.carrier() != word:
-            raise AssertionError(
+            raise EngineError(
                 f"witness realization carrier {realized.carrier()} != {word}")
-    rhs = sorted(set(
-        word
-        for a, b in product(pushout.states, repeat=2)
-        for word in pushout.enumerate_carriers(a, b, bound)))
+    rhs = sorted(word for words in pushout.carrier_table(bound).values()
+                 for word in words)
     return {
         "cell": cell.id,
         "bound": bound,
@@ -440,7 +444,7 @@ def obj_to_json(obj: ReedyObj) -> dict:
 def obj_from_json(data) -> ReedyObj:
     try:
         return make_obj(data["u"], data["v"], data["triples"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise BadInputError(f"malformed index object: {exc}") from exc
 
 
@@ -467,6 +471,9 @@ def elem_from_json(data, base: Complex) -> ReedyElem:
         raw_entries = data["entries"]
     except (KeyError, TypeError) as exc:
         raise BadInputError(f"malformed element: {exc}") from exc
+    if not isinstance(raw_entries, list):
+        raise BadInputError(
+            f"element entries must be a list, got {raw_entries!r}")
     for raw in raw_entries:
         if not isinstance(raw, dict) or len(raw) != 1:
             raise BadInputError(f"malformed entry: {raw!r}")

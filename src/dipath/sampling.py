@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
+from .errors import EngineError
 from .reparam import PLHomeo, identity, make_pl
 
 _DENOMS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16)
@@ -55,12 +56,7 @@ def rand_nonidentity_pl(rng: Random, length=1, max_segments: int = 8) -> PLHomeo
         phi = rand_pl(rng, length, length, max_segments)
         if phi != identity(length):
             return phi
-    raise AssertionError("failed to sample a non-identity map")
-
-
-def rand_interior_disk_point(rng: Random) -> Fraction:
-    """A rational strictly inside (-1, 1)."""
-    return rand_fraction(rng, -1, 1)
+    raise EngineError("failed to sample a non-identity map")
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,8 @@ def test_enumerate_requires_bound_on_loops():
     cx = build("loop")
     with pytest.raises(UnboundedEnumerationError):
         cx.enumerate_carriers("0", "1")
+    with pytest.raises(UnboundedEnumerationError):
+        cx.carrier_table()
     assert cx.enumerate_carriers("0", "1", 3) == [
         ("e",), ("l", "e"), ("l", "l", "e")]
     assert cx.enumerate_carriers("0", "0", 2) == [("l",), ("l", "l")]
@@ -426,6 +428,48 @@ def test_carrier_counts_match_matrix_powers():
                                for w in cx.enumerate_carriers(a, b, bound))
                 for k in range(1, bound + 1):
                     assert hist.get(k, 0) == powers[k][index[a]][index[b]]
+        # the single-source walk (on a complex with no table yet) and the
+        # shared table both hold, pair by pair, what the per-pair walk of
+        # brute_force_carriers finds; pairs without carriers are absent
+        bounds = [0, 1, bound, None] if cx.loop_free else [0, 1, bound]
+        for table_bound in bounds:
+            fresh = build(name)
+            for a in states:
+                for b in states:
+                    want = brute_force_carriers(cx, a, b, table_bound)
+                    assert fresh.enumerate_carriers(a, b, table_bound) == want
+                    if table_bound == 0:
+                        assert want == []
+            table = cx.carrier_table(table_bound)
+            for a in states:
+                for b in states:
+                    want = brute_force_carriers(cx, a, b, table_bound)
+                    assert cx.enumerate_carriers(a, b, table_bound) == want
+                    if want:
+                        assert table[(a, b)] == tuple(want)
+                    else:
+                        assert (a, b) not in table
+            assert list(table) == sorted(
+                table, key=lambda p: (index[p[0]], index[p[1]]))
+            assert cx.carrier_table(table_bound) is table
+
+
+def brute_force_carriers(cx, src, dst, bound):
+    """Cell words src -> dst of at most ``bound`` cells, by a walk that
+    tries every cell at every step."""
+    out = []
+
+    def go(state, word):
+        if word and state == dst:
+            out.append(tuple(word))
+        if bound is not None and len(word) >= bound:
+            return
+        for c in cx.desc.cells:
+            if c.src == state:
+                go(c.dst, word + [c.id])
+
+    go(src, [])
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

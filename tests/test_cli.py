@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import dipath
+from dipath.cellcomplex import NormalPath
 from dipath.cli import run
 
 
@@ -39,6 +40,47 @@ def test_validate_broken_complex(tmp_path, capsys):
     status, out = invoke(capsys, "validate", str(bad))
     assert status == 2
     assert json.loads(out)["error"] == "unknown_state"
+
+
+EDGE = {"id": "e", "dim": 0, "from": "0", "to": "1"}
+
+
+@pytest.mark.parametrize("data", [
+    {"states": ["0", "1"], "cells": [dict(EDGE, dim=0.7)]},
+    {"states": ["0", "1"], "cells": [dict(EDGE, dim=False)]},
+    {"states": ["0", "1"], "cells": [dict(EDGE, dim="0")]},
+    {"states": "01", "cells": []},
+    {"states": ["0", "1"], "cells": {"e": EDGE}},
+    {"states": ["0", "1"], "cells": [["e", 0, "0", "1"]]},
+], ids=["fractional_dim", "bool_dim", "string_dim", "string_states",
+        "object_cells", "list_cell"])
+def test_malformed_complex_fields_are_rejected(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    status, out = invoke(capsys, "validate", str(bad))
+    assert status == 2
+    assert json.loads(out)["error"] == "bad_input"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("triples", [["al", "0", "be"], ["be", 0, "ga"]]),
+    ("triples", [["al", 0.0, "be"], ["be", 0, "ga"]]),
+    ("triples", [["al", False, "be"], ["be", 0, "ga"]]),
+    ("triples", [["al", 0], ["be", 0, "ga"]]),
+    ("entries", 5),
+], ids=["string_flag", "float_flag", "bool_flag", "short_triple",
+        "int_entries"])
+def test_malformed_elements_are_rejected(corpus_dir, tmp_path, capsys,
+                                         field, value):
+    elem = json.loads((corpus_dir / "elem_two_runs.json").read_text())
+    elem[field] = value
+    bad = tmp_path / "elem.json"
+    bad.write_text(json.dumps(elem))
+    status, out = invoke(capsys, "reedy-normalize",
+                         str(corpus_dir / "triangle.json"), str(bad),
+                         "--cell", "t")
+    assert status == 2
+    assert json.loads(out)["error"] == "bad_input"
 
 
 def test_normalize_reports_normal_path(corpus_dir, capsys):
@@ -109,6 +151,21 @@ def test_negative_bound_is_rejected(corpus_dir, capsys, argv):
                          *rest)
     assert status == 2
     assert json.loads(out)["error"] == "bad_input"
+
+
+@pytest.mark.parametrize("argv, field, want", [
+    (("carriers", "square", "--from", "bot", "--to", "top", "--bound", "0"),
+     "carriers", []),
+    (("pushout-check", "triangle", "--cell", "t", "--bound", "0"),
+     "bijection", True),
+    (("counit-check", "square", "--bound", "0"), "ok", True),
+])
+def test_zero_bound_has_no_carriers(corpus_dir, capsys, argv, field, want):
+    command, name, *rest = argv
+    status, out = invoke(capsys, command, str(corpus_dir / f"{name}.json"),
+                         *rest)
+    assert status == 0
+    assert json.loads(out)[field] == want
 
 
 def test_fundcat_square(corpus_dir, capsys):
@@ -192,6 +249,25 @@ def test_verification_failure_exits_one(corpus_dir, capsys, monkeypatch):
                          "--cell", "t", "--bound", "4")
     assert status == 1
     assert json.loads(out)["bijection"] is False
+
+
+def test_failed_witness_guard_exits_two(corpus_dir, capsys, monkeypatch):
+    # A broken internal guard is an engine error (exit 2), not a failed
+    # verification (exit 1) and not a traceback.
+    import dipath.reedy as reedy_mod
+
+    real = reedy_mod.realize
+
+    def wrong_carrier(elem, pushout, cell_id):
+        path = real(elem, pushout, cell_id)
+        return NormalPath(path.start, path.end, path.segs * 2)
+
+    monkeypatch.setattr(reedy_mod, "realize", wrong_carrier)
+    status, out = invoke(capsys, "pushout-check",
+                         str(corpus_dir / "triangle.json"),
+                         "--cell", "t", "--bound", "4")
+    assert status == 2
+    assert json.loads(out)["error"] == "engine_error"
 
 
 def test_cross_process_byte_determinism(corpus_dir):

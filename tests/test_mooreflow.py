@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dipath.cellcomplex import Cell, ComplexDesc, validate
+from dipath.cellcomplex import Cell, ComplexDesc, NormComp, validate
 from dipath.errors import (
     BadInputError,
     HasLoopsError,
@@ -32,7 +32,8 @@ from dipath.mooreflow import (
     mgflow_strata,
     realize_globe_flow,
 )
-from fixture_lib import build, chain_desc
+from dipath.reedy import pushout_check
+from fixture_lib import build, chain_desc, edge, estep, globe
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +209,15 @@ def test_counit_check_on_random_complexes():
     rng = Random(21)
     for _ in range(8):
         cx = rand_loopfree_complex(rng)
-        assert counit_check(cx, 5)["ok"]
+        report = counit_check(cx, 5)
+        assert report["ok"]
+        # each step, run on the previous step's pushout, equals the
+        # stand-alone check on a freshly validated prefix
+        cells = cx.desc.cells
+        assert report["steps"] == [
+            pushout_check(validate(ComplexDesc(cx.states, cells[:i])),
+                          cell, 5)
+            for i, cell in enumerate(cells)]
 
 
 def test_fundamental_category_oracle_on_random_complexes():
@@ -264,6 +273,37 @@ def test_fundamental_category_matches_oracle_everywhere():
                     # representatives are the least word of each class
                     assert sorted(fp.hom(a, b)) == sorted(
                         c[0] for c in comps)
+
+
+def test_relation_sides_of_different_lengths():
+    # The relations have sides of lengths 1 and 2 (g: e ~ f.h), 1 and 1
+    # (k: f2 ~ f) and 2 and 2 (q: h.x ~ h.y); they must also act inside
+    # longer words, so windows of every side length slide over each word.
+    cx = validate(ComplexDesc(("a", "b", "c", "d"), (
+        edge("e", "a", "c"),
+        edge("f", "a", "b"),
+        edge("f2", "a", "b"),
+        edge("h", "b", "c"),
+        edge("x", "c", "d"),
+        edge("y", "c", "d"),
+        globe("g", "a", "c", estep("e"), NormComp(estep("f"), estep("h"))),
+        globe("k", "a", "b", estep("f2"), estep("f")),
+        globe("q", "b", "d", NormComp(estep("h"), estep("x")),
+              NormComp(estep("h"), estep("y"))),
+    )))
+    fp, class_of = fundamental_category_full(cx)
+    relations = oracle_relations(cx)
+    assert [tuple(map(len, r)) for r in relations] == [(1, 2), (1, 1), (2, 2)]
+    for a in cx.states:
+        for b in cx.states:
+            comps = oracle_classes(oracle_edge_words(cx, a, b), relations)
+            assert fp.hom(a, b) == tuple(c[0] for c in comps)
+            for idx, comp in enumerate(comps):
+                for w in comp:
+                    assert class_of[(a, b)][w] == idx
+    assert fp.hom("a", "c") == (("e",),)
+    assert fp.hom("a", "d") == (("e", "x"),)
+    assert fp.hom("b", "d") == (("h", "x"),)
 
 
 def test_no_two_cells_means_classes_are_carriers():

@@ -8,6 +8,7 @@ import pytest
 from dipath.cellcomplex import (
     Cell,
     ComplexDesc,
+    NormalPath,
     NormComp,
     Seg,
     repar_normal,
@@ -18,6 +19,7 @@ from dipath.errors import (
     EngineError,
     NoBoundaryDataError,
     NotComposableHereError,
+    UnknownCellError,
     WrongEndpointsError,
 )
 from dipath.reedy import (
@@ -344,6 +346,18 @@ def test_realize_mixed_element_matches_witness_path():
     assert got.segs[len(p.segs)] == Seg("g", (F(1, 3),), chi)
 
 
+def test_realize_rejects_a_complex_without_the_slot_cells():
+    # Base paths are checked against the pushout, so a complex that lacks
+    # their cells is refused rather than read.
+    cx = chain_base(2)
+    cell = edge("g", "s0", "s2")
+    e = make_elem(make_obj("s0", "s2", [("s0", 1, "s2")]),
+                  [InjPath(unit_path(cx, ("e1", "e2")))], cx)
+    foreign = pushout_complex(validate(ComplexDesc(cx.states, ())), cell)
+    with pytest.raises(UnknownCellError):
+        realize(e, foreign, "g")
+
+
 # ---------------------------------------------------------------------------
 # pushout verification
 
@@ -385,6 +399,18 @@ def test_pushout_check_globe_fill():
     report = pushout_check(base, fill, 4)
     assert report["bijection"]
     assert report["rhs_carriers"] == [["em"], ["ep"], ["g"]]
+
+
+def test_wrong_witness_carrier_raises_engine_error(monkeypatch):
+    # The witness guards are raises, so python -O keeps them and the CLI
+    # reports them as engine errors.
+    import dipath.reedy as reedy_mod
+
+    base = validate(ComplexDesc(("0", "1"), (edge("e", "0", "1"),)))
+    wrong = NormalPath("0", "1", (Seg("e", (), mu(1)),) * 2)
+    monkeypatch.setattr(reedy_mod, "realize", lambda elem, px, cid: wrong)
+    with pytest.raises(EngineError, match="witness realization carrier"):
+        pushout_check(base, edge("f", "0", "1"), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from dipath.errors import (
     BadEndpointsError,
+    EngineError,
     LengthMismatchError,
     LengthSumMismatchError,
     NonMonotonicError,
@@ -36,7 +37,7 @@ from dipath.reparam import (
     split,
     tensor,
 )
-from dipath.sampling import rand_partition, rand_pl
+from dipath.sampling import rand_nonidentity_pl, rand_partition, rand_pl
 
 
 def oracle_eval(breaks, t):
@@ -49,6 +50,12 @@ def oracle_eval(breaks, t):
 
 
 HALF_QUARTER = [(0, 0), (F(1, 2), F(1, 4)), (1, 1)]
+
+
+def test_rand_nonidentity_pl_gives_up_with_an_engine_error():
+    # one linear piece from [0,1] onto [0,1] is always the identity
+    with pytest.raises(EngineError, match="non-identity"):
+        rand_nonidentity_pl(Random(0), 1, max_segments=1)
 
 
 def test_make_pl_identity():

@@ -19,8 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
+from weakref import ref
 
 from .errors import (
     BadDimError,
@@ -130,7 +133,15 @@ def np_to_expr(np: NormalPath) -> PathExpr:
 
 
 def sq_norm(z: tuple[Fraction, ...]) -> Fraction:
-    return sum((zi * zi for zi in z), Fraction(0))
+    """The squared Euclidean norm of a rational point: the sum is kept as
+    one integer numerator over one integer denominator, and a single
+    Fraction is built at the end."""
+    num, den = 0, 1
+    for zi in z:
+        d2 = zi.denominator * zi.denominator
+        num = num * d2 + zi.numerator * zi.numerator * den
+        den *= d2
+    return Fraction(num, den)
 
 
 def repar_normal(np: NormalPath, phi: PLHomeo) -> NormalPath:
@@ -179,42 +190,111 @@ def _expr_cells(expr: PathExpr) -> set[str]:
     raise BadInputError(f"not a path expression: {expr!r}")
 
 
+class _PathRef(ref):
+    """A weak reference to an accepted path, with the memo key it sits at."""
+
+    __slots__ = ("key",)
+
+
 class Complex:
     """A validated complex together with its path operations.
 
-    Immutable after construction; all operations are pure.
+    ``Complex(states)`` is the complex with no cells; :meth:`extend` attaches
+    one cell, and :func:`validate` folds ``extend`` over a description.  A
+    complex is immutable: assigning or deleting an attribute raises, and the
+    tables a child copies from its parent are never written after
+    construction.  What changes is cached, and describes this complex
+    alone: ``desc`` and ``loop_free``, computed on first read, the carrier
+    tables, one per bound, and the memo of accepted paths (see
+    :meth:`check_normal_path`).
     """
 
-    def __init__(self, desc: ComplexDesc):
-        if len(set(desc.states)) != len(desc.states):
+    def __init__(self, states: tuple[str, ...]):
+        states = tuple(states)
+        if len(set(states)) != len(states):
             raise UnknownStateError("state names must be distinct")
-        ids = [c.id for c in desc.cells]
-        if len(set(ids)) != len(ids):
+        self._fill(states, {}, {}, {s: () for s in states})
+
+    def _fill(self, states: tuple[str, ...], cells: dict[str, Cell],
+              boundaries: dict[str, tuple[NormalPath, NormalPath]],
+              arcs: dict[str, tuple[Cell, ...]]) -> None:
+        owner = ref(self)
+
+        def forget(dead: _PathRef) -> None:
+            cx = owner()
+            if cx is not None and cx._verified.get(dead.key) is dead:
+                del cx._verified[dead.key]
+
+        # cells in attachment order; arcs by source state, sorted by id
+        vars(self).update(
+            states=states, _cells=cells, _boundaries=boundaries, _arcs=arcs,
+            _carrier_tables={},
+            # id(path) -> weak reference to each path object that
+            # check_normal_path accepted; an entry goes when its path dies
+            _verified={}, _forget=forget)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Complex is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Complex is immutable: cannot delete {name!r}")
+
+    @cached_property
+    def desc(self) -> ComplexDesc:
+        return ComplexDesc(self.states, tuple(self._cells.values()))
+
+    @cached_property
+    def loop_free(self) -> bool:
+        """Whether no directed cycle of cells exists (Kahn's algorithm)."""
+        indeg = {s: 0 for s in self.states}
+        for cell in self._cells.values():
+            indeg[cell.dst] += 1
+        queue = [s for s in self.states if indeg[s] == 0]
+        seen = 0
+        while queue:
+            s = queue.pop()
+            seen += 1
+            for cell in self._arcs[s]:
+                indeg[cell.dst] -= 1
+                if indeg[cell.dst] == 0:
+                    queue.append(cell.dst)
+        return seen == len(self.states)
+
+    def extend(self, cell: Cell) -> "Complex":
+        """This complex with ``cell`` attached last.
+
+        Only the new cell is admitted: its id and states, and for a globe
+        its two boundary paths, normalized here, where every cell they may
+        use is already attached.  The child copies the parent's cell,
+        boundary and arc tables (sharing their immutable values), and
+        starts with its own empty caches and path memo."""
+        if cell.id in self._cells:
             raise UnknownCellError("cell ids must be distinct")
-        self.desc = desc
-        self.states = desc.states
-        self._cells: dict[str, Cell] = {}
-        self._boundaries: dict[str, tuple[NormalPath, NormalPath]] = {}
-        for index, cell in enumerate(desc.cells):
-            self._admit(cell, {c.id for c in desc.cells[:index]})
-            self._cells[cell.id] = cell
-        self.loop_free = self._acyclic()
-        self._arcs: dict[str, list[Cell]] = {s: [] for s in desc.states}
-        for cell in sorted(desc.cells, key=lambda c: c.id):
-            self._arcs[cell.src].append(cell)
-        self._carrier_tables: dict[Optional[int], Mapping] = {}
+        boundary = self._admit(cell)
+        boundaries = self._boundaries
+        if boundary is not None:
+            boundaries = {**boundaries, cell.id: boundary}
+        arcs = dict(self._arcs)
+        arcs[cell.src] = tuple(sorted(arcs[cell.src] + (cell,),
+                                      key=attrgetter("id")))
+        child = object.__new__(Complex)
+        child._fill(self.states, {**self._cells, cell.id: cell}, boundaries,
+                    arcs)
+        return child
 
     # -- construction-time checks
 
-    def _admit(self, cell: Cell, earlier: set[str]) -> None:
-        if cell.src not in self.states:
+    def _admit(self, cell: Cell) -> Optional[tuple[NormalPath, NormalPath]]:
+        """Check ``cell`` against this complex and return a globe's two
+        boundary normal forms (None for an edge)."""
+        if cell.src not in self._arcs:
             raise UnknownStateError(f"cell {cell.id}: unknown state {cell.src}")
-        if cell.dst not in self.states:
+        if cell.dst not in self._arcs:
             raise UnknownStateError(f"cell {cell.id}: unknown state {cell.dst}")
         if cell.disk_dim == 0:
             if cell.boundary_minus is not None or cell.boundary_plus is not None:
                 raise BadDimError(f"edge {cell.id} cannot carry boundary paths")
-            return
+            return None
         if cell.disk_dim != 1:
             raise BadDimError(
                 f"cell {cell.id}: geometric cells have disk dimension 0 or 1, "
@@ -224,8 +304,7 @@ class Complex:
         nfs = []
         for side, expr in (("-", cell.boundary_minus),
                            ("+", cell.boundary_plus)):
-            refs = _expr_cells(expr)
-            bad = refs - earlier
+            bad = {c for c in _expr_cells(expr) if c not in self._cells}
             if bad:
                 raise ForwardReferenceError(
                     f"boundary {side} of {cell.id} uses cells attached later "
@@ -240,24 +319,7 @@ class Complex:
                     f"boundary {side} of {cell.id} runs {nf.start}->{nf.end}, "
                     f"cell runs {cell.src}->{cell.dst}")
             nfs.append(nf)
-        self._boundaries[cell.id] = (nfs[0], nfs[1])
-
-    def _acyclic(self) -> bool:
-        out: dict[str, list[str]] = {s: [] for s in self.states}
-        indeg = {s: 0 for s in self.states}
-        for cell in self._cells.values():
-            out[cell.src].append(cell.dst)
-            indeg[cell.dst] += 1
-        queue = [s for s in self.states if indeg[s] == 0]
-        seen = 0
-        while queue:
-            s = queue.pop()
-            seen += 1
-            for t in out[s]:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    queue.append(t)
-        return seen == len(self.states)
+        return nfs[0], nfs[1]
 
     # -- cell access
 
@@ -382,6 +444,23 @@ class Complex:
     # -- structural checks used by JSON ingestion
 
     def check_normal_path(self, np: NormalPath) -> NormalPath:
+        """``np`` itself when it is a well-formed path of this complex: every
+        segment in a known cell, with the right point arity, an interior
+        point and a time law onto [0, 1], the segments chaining, and the
+        endpoints those of the chain.
+
+        An accepted path object is remembered by identity, weakly, and is
+        accepted again without the walk: the complex and the path are both
+        immutable, so a second walk would give the same answer.  A rejected
+        path is never remembered, and the memo belongs to this complex
+        alone; a child made by :meth:`extend` starts empty.  A counit check
+        shares its witness slot paths across steps and makes the pushout of
+        one step the base of the next, so the slot path that ``realize``
+        accepted against a pushout is the very object that ``make_elem``
+        checks against it at the next step, and is walked once."""
+        seen = self._verified.get(id(np))
+        if seen is not None and seen() is np:
+            return np
         if not np.segs:
             raise BadInputError("a path has at least one segment")
         chain = []
@@ -402,6 +481,9 @@ class Complex:
                     f"segments do not chain: {a.dst} != {b.src}")
         if np.start != chain[0].src or np.end != chain[-1].dst:
             raise EndpointMismatchError("endpoint states do not match segments")
+        seen = _PathRef(np, self._forget)
+        seen.key = id(np)
+        self._verified[seen.key] = seen
         return np
 
     # -- carrier enumeration
@@ -468,8 +550,18 @@ class Complex:
 
 
 def validate(desc: ComplexDesc) -> Complex:
-    """Check every structural invariant and return the usable complex."""
-    return Complex(desc)
+    """Check every structural invariant and return the usable complex.
+
+    State names and cell ids are checked for repeats first; then the cells
+    are attached one at a time by :meth:`Complex.extend`, each admitted
+    against the cells before it."""
+    cx = Complex(desc.states)
+    ids = [c.id for c in desc.cells]
+    if len(set(ids)) != len(ids):
+        raise UnknownCellError("cell ids must be distinct")
+    for cell in desc.cells:
+        cx = cx.extend(cell)
+    return cx
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +589,7 @@ def expr_from_json(data) -> PathExpr:
     kind, body = next(iter(data.items()))
     try:
         if kind == "step":
-            return Step(str(body["cell"]),
+            return Step(json_str(body["cell"], "step cell"),
                         tuple(parse_fraction(v) for v in body["z"]),
                         pl_from_json(body["chi"]))
         if kind == "moore":
@@ -529,10 +621,11 @@ def normal_path_from_json(data, cx: Complex) -> NormalPath:
             chi = pl_from_json(raw["chi"])
             if "len" in raw and parse_fraction(raw["len"]) != chi.src_len:
                 raise BadInputError("segment length disagrees with time law")
-            segs.append(Seg(str(raw["cell"]),
+            segs.append(Seg(json_str(raw["cell"], "segment cell"),
                             tuple(parse_fraction(v) for v in raw["z"]),
                             chi))
-        np = NormalPath(str(data["from"]), str(data["to"]), tuple(segs))
+        np = NormalPath(json_str(data["from"], "path start"),
+                        json_str(data["to"], "path end"), tuple(segs))
     except (KeyError, TypeError) as exc:
         raise BadInputError(f"malformed normal path: {exc}") from exc
     return cx.check_normal_path(np)
@@ -555,17 +648,26 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_str(value, what: str) -> str:
+    """A JSON string field naming a state or a cell; numbers, booleans,
+    lists, objects and null are refused."""
+    if not isinstance(value, str):
+        raise BadInputError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def cell_from_json(data) -> Cell:
     if not isinstance(data, dict):
         raise BadInputError(f"malformed cell: {data!r}")
     try:
         minus = data.get("boundary_minus")
         plus = data.get("boundary_plus")
+        cid = json_str(data["id"], "cell id")
         return Cell(
-            id=str(data["id"]),
-            disk_dim=json_int(data["dim"], f"dim of cell {data['id']}"),
-            src=str(data["from"]),
-            dst=str(data["to"]),
+            id=cid,
+            disk_dim=json_int(data["dim"], f"dim of cell {cid}"),
+            src=json_str(data["from"], f"from of cell {cid}"),
+            dst=json_str(data["to"], f"to of cell {cid}"),
             boundary_minus=expr_from_json(minus) if minus is not None else None,
             boundary_plus=expr_from_json(plus) if plus is not None else None,
         )
@@ -584,7 +686,7 @@ def complex_from_json(data) -> ComplexDesc:
             if not isinstance(data[field], list):
                 raise BadInputError(
                     f"complex {field} must be a list, got {data[field]!r}")
-        states = tuple(str(s) for s in data["states"])
+        states = tuple(json_str(s, "state name") for s in data["states"])
         cells = tuple(cell_from_json(c) for c in data["cells"])
     except (KeyError, TypeError) as exc:
         raise BadInputError(f"malformed complex: {exc}") from exc

@@ -33,6 +33,8 @@ def _load_json(path: str):
         raise BadInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise BadInputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise BadInputError(f"{path} nests too deeply to decode") from exc
 
 
 def _load_complex(path: str):
@@ -215,6 +217,12 @@ def run(argv=None) -> int:
         report, status = args.func(args)
     except EngineError as exc:
         _emit({"error": exc.code, "detail": exc.detail}, args.format)
+        return 2
+    except RecursionError:
+        # an input nested deeper than the recursive readers and normalizers
+        # can follow under the interpreter's recursion limit
+        _emit({"error": BadInputError.code,
+               "detail": "input nests too deeply to process"}, args.format)
         return 2
     _emit(report, args.format)
     return status

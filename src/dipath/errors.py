@@ -105,10 +105,6 @@ class HasLoopsError(EngineError):
     code = "has_loops"
 
 
-class HigherCellsPresentError(EngineError):
-    code = "higher_cells_present"
-
-
 # -- input handling -----------------------------------------------------------
 
 class BadInputError(EngineError):

@@ -19,11 +19,10 @@ from .errors import (
     BadInputError,
     EngineError,
     HasLoopsError,
-    HigherCellsPresentError,
 )
 from .gspace import FreeGSpace, free, pair_label
 from .rational import format_fraction
-from .reedy import _check_pushout, pushout_complex
+from .reedy import WitnessPaths, _check_pushout, pushout_complex
 
 Word = tuple[str, ...]
 
@@ -125,14 +124,22 @@ def globe_roundtrip(length, labels) -> dict:
 def counit_check(cx: Complex, bound: int) -> dict:
     """Run the pushout carrier check at every attachment step.
 
-    The pushout of one step is the base of the next, so each prefix is
-    validated once and its carrier table serves both of its steps."""
+    The steps replay the chain that builds ``cx`` one cell at a time: the
+    pushout of step i is ``base.extend(cell)``, and it is the base of step
+    i+1, so only the new cell is admitted and each carrier table is built
+    once.  One set of witness slot paths serves every step.  A path
+    accepted by a complex is remembered by that complex, so a k=0 witness
+    at step i+1 (one base run along a carrier that already existed at step
+    i) is walked once: ``realize`` checked that very path object against
+    the same complex at step i.  Every witness is still built, tested for
+    being simplified, realized and compared by carrier at every step."""
     steps = []
     ok = True
-    base = validate(ComplexDesc(cx.desc.states, ()))
+    paths = WitnessPaths(cx.desc.cells)
+    base = Complex(cx.states)
     for cell in cx.desc.cells:
         pushout = pushout_complex(base, cell)
-        report = _check_pushout(base, pushout, cell, bound)
+        report = _check_pushout(base, pushout, cell, bound, paths)
         ok = ok and report["bijection"]
         steps.append(report)
         base = pushout
@@ -211,9 +218,6 @@ def fundamental_category_full(cx: Complex):
     """
     if not cx.loop_free:
         raise HasLoopsError("fundamental category needs a loop-free complex")
-    if any(c.disk_dim > 1 for c in cx.desc.cells):
-        raise HigherCellsPresentError(
-            "fundamental category is computed for disk dimensions 0 and 1")
     edges = tuple(c for c in cx.desc.cells if c.disk_dim == 0)
     skeleton = validate(ComplexDesc(cx.desc.states, edges))
     memo: dict = {}

@@ -25,16 +25,15 @@ from typing import Union
 from .cellcomplex import (
     Cell,
     Complex,
-    ComplexDesc,
     NormalPath,
     Seg,
     Step,
     normal_path_from_json,
     normal_path_to_json,
     json_int,
+    json_str,
     repar_normal,
     sq_norm,
-    validate,
 )
 from .errors import (
     BadInputError,
@@ -297,7 +296,7 @@ def normalize_elem(elem: ReedyElem, base: Complex, cell: Cell) -> ReedyElem:
 
 
 def pushout_complex(base: Complex, cell: Cell) -> Complex:
-    return validate(ComplexDesc(base.states, base.desc.cells + (cell,)))
+    return base.extend(cell)
 
 
 def realize(elem: ReedyElem, pushout: Complex, cell_id: str) -> NormalPath:
@@ -371,7 +370,26 @@ def _interleavings(base: Complex, cell: Cell, bound: int):
     return out
 
 
-def _witness_elem(base: Complex, cell: Cell, runs, units: dict[str, Seg],
+class WitnessPaths:
+    """The unit-speed paths that fill witness slots: one ``Seg`` per cell
+    and one ``NormalPath`` per run word, each built on first use and then
+    shared.  A counit check passes one instance to every step, so a slot
+    path is the same object at every step that uses it."""
+
+    def __init__(self, cells):
+        self._units = {c.id: Seg(c.id, (_ZERO,) * c.disk_dim, _UNIT)
+                       for c in cells}
+        self._paths: dict[tuple[str, ...], NormalPath] = {}
+
+    def path(self, word: tuple[str, ...], a: str, b: str) -> NormalPath:
+        path = self._paths.get(word)
+        if path is None:
+            path = NormalPath(a, b, tuple(self._units[cid] for cid in word))
+            self._paths[word] = path
+        return path
+
+
+def _witness_elem(base: Complex, cell: Cell, runs, paths: WitnessPaths,
                   through: CellPath) -> ReedyElem:
     """A concrete simplified element realizing the given slot structure:
     unit-speed passes through the centre of every cell."""
@@ -386,8 +404,7 @@ def _witness_elem(base: Complex, cell: Cell, runs, units: dict[str, Seg],
             if not word:
                 continue
             triples.append((a, 0, b))
-            entries.append(APath(NormalPath(
-                a, b, tuple(units[cid] for cid in word))))
+            entries.append(APath(paths.path(word, a, b)))
     obj = make_obj(cell.src, cell.dst, triples)
     return make_elem(obj, entries, base)
 
@@ -400,21 +417,26 @@ def pushout_check(base: Complex, cell: Cell, bound: int) -> dict:
     rewriting fixpoint whose realization has the predicted carrier.  The
     right list enumerates the pushout's carriers directly.
     """
-    return _check_pushout(base, pushout_complex(base, cell), cell, bound)
+    return _check_pushout(base, pushout_complex(base, cell), cell, bound,
+                          WitnessPaths(base.desc.cells))
 
 
 def _check_pushout(base: Complex, pushout: Complex, cell: Cell,
-                   bound: int) -> dict:
-    """:func:`pushout_check` against an already validated pushout."""
+                   bound: int, paths: WitnessPaths) -> dict:
+    """:func:`pushout_check` against an already built pushout, with witness
+    slot paths taken from ``paths``, which must know every base cell.
+
+    Every shape is witnessed: its element is built by ``make_elem`` (which
+    checks each base slot against ``base``), tested with ``is_simplified``
+    and realized in ``pushout`` (which checks each base slot again, against
+    ``pushout``), and its carrier compared with the shape's word."""
     lhs_pairs = _interleavings(base, cell, bound)
     lhs = sorted(word for word, _ in lhs_pairs)
     if len(set(lhs)) != len(lhs):
         raise EngineError("shape enumeration produced duplicate carriers")
-    units = {c.id: Seg(c.id, (_ZERO,) * c.disk_dim, _UNIT)
-             for c in base.desc.cells}
     through = CellPath((_ZERO,) * cell.disk_dim, _UNIT)
     for word, runs in lhs_pairs:
-        elem = _witness_elem(base, cell, runs, units, through)
+        elem = _witness_elem(base, cell, runs, paths, through)
         if not is_simplified(elem, base, cell):
             raise EngineError(f"witness for {word} is not simplified")
         realized = realize(elem, pushout, cell.id)
@@ -443,7 +465,11 @@ def obj_to_json(obj: ReedyObj) -> dict:
 
 def obj_from_json(data) -> ReedyObj:
     try:
-        return make_obj(data["u"], data["v"], data["triples"])
+        return make_obj(
+            json_str(data["u"], "index object u"),
+            json_str(data["v"], "index object v"),
+            [(json_str(a, "triple state"), e, json_str(b, "triple state"))
+             for a, e, b in data["triples"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInputError(f"malformed index object: {exc}") from exc
 

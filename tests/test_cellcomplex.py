@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dipath.cellcomplex import (
     Cell,
@@ -12,6 +14,7 @@ from dipath.cellcomplex import (
     NormComp,
     NormalPath,
     Repar,
+    Seg,
     Step,
     complex_from_json,
     complex_to_json,
@@ -20,6 +23,7 @@ from dipath.cellcomplex import (
     normal_path_from_json,
     normal_path_to_json,
     np_to_expr,
+    sq_norm,
     validate,
 )
 from dipath.errors import (
@@ -31,11 +35,13 @@ from dipath.errors import (
     LengthMismatchError,
     OutOfDomainError,
     UnboundedEnumerationError,
+    UnknownCellError,
     UnknownStateError,
 )
 from dipath.reparam import compose, identity, inverse, make_pl, mu, tensor
 from dipath.sampling import rand_partition, rand_pl
 from fixture_lib import (
+    CORPUS,
     build,
     chain_desc,
     edge,
@@ -596,3 +602,211 @@ def test_normal_path_json_roundtrip():
     nf = cx.normalize(NormComp(estep("a"), estep("b")))
     data = normal_path_to_json(nf)
     assert normal_path_from_json(data, cx) == nf
+
+
+# ---------------------------------------------------------------------------
+# incremental construction, immutability and the accepted-path memo
+
+
+def kahn_loop_free(desc):
+    """Acyclicity of the cell graph by Kahn's algorithm on the whole
+    description, independent of the incremental test in ``extend``."""
+    indeg = {s: 0 for s in desc.states}
+    for c in desc.cells:
+        indeg[c.dst] += 1
+    queue = [s for s in desc.states if indeg[s] == 0]
+    seen = 0
+    while queue:
+        s = queue.pop()
+        seen += 1
+        for c in desc.cells:
+            if c.src == s:
+                indeg[c.dst] -= 1
+                if indeg[c.dst] == 0:
+                    queue.append(c.dst)
+    return seen == len(desc.states)
+
+
+def assert_same_complex(cx, other, desc):
+    """cx and other both hold exactly desc: cells, boundaries, loop
+    freedom, arc order and carrier tables."""
+    for c in (cx, other):
+        assert c.desc == desc and c.states == desc.states
+        assert [c.cell(x.id) for x in desc.cells] == list(desc.cells)
+        assert c.loop_free == kahn_loop_free(desc)
+        for s in desc.states:
+            want = sorted((x for x in desc.cells if x.src == s),
+                          key=lambda x: x.id)
+            assert list(c._arcs[s]) == want
+    for x in desc.cells:
+        if x.disk_dim == 1:
+            assert cx.boundary_normal(x.id) == other.boundary_normal(x.id)
+            minus, plus = other.boundary_normal(x.id)
+            assert minus == cx.normalize(x.boundary_minus)
+            assert plus == cx.normalize(x.boundary_plus)
+    assert cx.carrier_table(3) == other.carrier_table(3)
+    if cx.loop_free:
+        assert cx.carrier_table() == other.carrier_table()
+
+
+def test_validate_is_a_fold_of_extend():
+    from helpers import rand_loopfree_complex
+
+    from dipath.cellcomplex import Complex
+
+    rng = Random(5)
+    descs = list(CORPUS.values()) + [rand_loopfree_complex(rng).desc
+                                     for _ in range(12)]
+    for desc in descs:
+        folded = Complex(desc.states)
+        for cell in desc.cells:
+            folded = folded.extend(cell)
+        assert_same_complex(validate(desc), folded, desc)
+        # extending a validated prefix equals validating the longer one
+        for k, cell in enumerate(desc.cells):
+            shorter = ComplexDesc(desc.states, desc.cells[:k])
+            longer = ComplexDesc(desc.states, desc.cells[:k + 1])
+            assert_same_complex(validate(shorter).extend(cell),
+                                validate(longer), longer)
+
+
+def test_extend_leaves_the_parent_unchanged():
+    base = build("square_open")
+    table = base.carrier_table(3)
+    fill = CORPUS["square"].cells[-1]
+    child = base.extend(fill)
+    assert child.cell(fill.id) == fill
+    assert base.desc == CORPUS["square_open"]
+    assert base.carrier_table(3) is table
+    assert ("sq",) not in table[("bot", "top")]
+    assert ("sq",) in child.carrier_table(3)[("bot", "top")]
+    with pytest.raises(UnknownCellError):
+        base.cell(fill.id)
+    with pytest.raises(UnknownCellError):
+        child.extend(fill)
+
+
+def test_extend_tracks_loops():
+    cx = validate(ComplexDesc(("a", "b", "c"), (edge("x", "a", "b"),
+                                                edge("y", "b", "c"))))
+    assert cx.loop_free
+    assert cx.extend(edge("z", "a", "c")).loop_free
+    assert not cx.extend(edge("z", "c", "a")).loop_free
+    assert not cx.extend(edge("z", "b", "b")).loop_free
+    assert not cx.extend(edge("z", "c", "a")).extend(
+        edge("w", "a", "c")).loop_free
+
+
+def test_complex_is_immutable():
+    cx = build("square")
+    for name in ("desc", "states", "loop_free", "_cells", "_boundaries",
+                 "_arcs", "_carrier_tables", "_verified", "fresh"):
+        with pytest.raises(AttributeError):
+            setattr(cx, name, None)
+    with pytest.raises(AttributeError):
+        del cx.desc
+    assert cx.desc == CORPUS["square"]
+
+
+def test_repeated_state_names_are_refused():
+    from dipath.cellcomplex import Complex
+
+    with pytest.raises(UnknownStateError):
+        Complex(("a", "a"))
+    with pytest.raises(UnknownStateError):
+        validate(ComplexDesc(("a", "a"), ()))
+
+
+def unit_np(cx, word):
+    return NormalPath(cx.cell(word[0]).src, cx.cell(word[-1]).dst,
+                      tuple(Seg(c, (F(0),) * cx.cell(c).disk_dim, mu(1))
+                            for c in word))
+
+
+def count_walks(monkeypatch):
+    """Count check_normal_path walks: each walk looks up its first cell."""
+    from dipath.cellcomplex import Complex
+
+    walks = []
+    lookup = Complex.cell
+
+    def counted(self, cid):
+        walks.append(cid)
+        return lookup(self, cid)
+
+    monkeypatch.setattr(Complex, "cell", counted)
+    return walks
+
+
+def test_accepted_paths_are_walked_once_per_complex(monkeypatch):
+    base = build("square_open")
+    pushout = base.extend(CORPUS["square"].cells[-1])
+    path = unit_np(base, ("a", "b"))
+    twin = unit_np(base, ("a", "b"))
+    assert twin == path and twin is not path
+    walks = count_walks(monkeypatch)
+    assert base.check_normal_path(path) is path
+    assert len(walks) == 2
+    assert base.check_normal_path(path) is path
+    assert len(walks) == 2
+    # the memo is per complex and per object: the pushout walks the same
+    # object once, and an equal but distinct object is walked again
+    assert pushout.check_normal_path(path) is path
+    assert len(walks) == 4
+    base.check_normal_path(twin)
+    assert len(walks) == 6
+    # a child starts with an empty memo
+    child = base.extend(edge("z", "top", "bot"))
+    child.check_normal_path(path)
+    assert len(walks) == 8
+
+
+def test_path_accepted_by_the_pushout_is_still_rejected_by_the_base():
+    base = build("square_open")
+    pushout = base.extend(CORPUS["square"].cells[-1])
+    through = NormalPath("bot", "top", (Seg("sq", (F(1, 2),), mu(1)),))
+    assert pushout.check_normal_path(through) is through
+    for _ in range(2):
+        with pytest.raises(UnknownCellError):
+            base.check_normal_path(through)
+    assert pushout.check_normal_path(through) is through
+
+
+def test_rejected_paths_are_rejected_again():
+    cx = build("square")
+    outside = NormalPath("bot", "top", (Seg("sq", (F(1),), mu(1)),))
+    broken = NormalPath("bot", "top", (Seg("a", (), mu(1)),
+                                       Seg("d", (), mu(1))))
+    for path, error in ((outside, OutOfDomainError),
+                        (broken, EndpointMismatchError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                cx.check_normal_path(path)
+
+
+def test_memo_entries_die_with_their_paths():
+    import gc
+
+    cx = build("square")
+    path = unit_np(cx, ("a", "b"))
+    cx.check_normal_path(path)
+    assert len(cx._verified) == 1
+    del path
+    gc.collect()
+    assert len(cx._verified) == 0
+
+
+# ---------------------------------------------------------------------------
+# sq_norm against the Fraction formula
+
+coords = st.one_of(
+    st.builds(F, st.integers(-60, 60), st.integers(1, 40)),
+    st.integers(-5, 5))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(coords, max_size=5))
+def test_sq_norm_matches_the_fraction_formula(z):
+    want = sum((F(zi) * F(zi) for zi in z), F(0))
+    got = sq_norm(tuple(z))
+    assert type(got) is F and got == want

@@ -83,6 +83,96 @@ def test_malformed_elements_are_rejected(corpus_dir, tmp_path, capsys,
     assert json.loads(out)["error"] == "bad_input"
 
 
+@pytest.mark.parametrize("data", [
+    {"states": ["a", ["x"]], "cells": []},
+    {"states": ["0", 1], "cells": []},
+    {"states": ["0", "1"], "cells": [dict(EDGE, id=7)]},
+    {"states": ["0", "1"], "cells": [dict(EDGE, id=None)]},
+    {"states": ["0", "1"], "cells": [dict(EDGE, **{"from": 0})]},
+    {"states": ["0", "1"], "cells": [dict(EDGE, to=["1"])]},
+], ids=["list_state", "int_state", "int_id", "null_id", "int_from",
+        "list_to"])
+def test_non_string_names_are_rejected(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    status, out = invoke(capsys, "validate", str(bad))
+    assert status == 2
+    assert json.loads(out)["error"] == "bad_input"
+
+
+def test_non_string_step_cell_is_rejected(corpus_dir, tmp_path, capsys):
+    path = json.loads((corpus_dir / "path_a.json").read_text())
+    path["step"]["cell"] = 1
+    bad = tmp_path / "path.json"
+    bad.write_text(json.dumps(path))
+    status, out = invoke(capsys, "normalize", str(corpus_dir / "square.json"),
+                         str(bad))
+    assert status == 2
+    assert json.loads(out)["error"] == "bad_input"
+
+
+@pytest.mark.parametrize("where", ["u", "triple", "path_from", "seg_cell"])
+def test_non_string_element_names_are_rejected(corpus_dir, tmp_path, capsys,
+                                               where):
+    elem = json.loads((corpus_dir / "elem_two_runs.json").read_text())
+    if where == "u":
+        elem["u"] = 0
+    elif where == "triple":
+        elem["triples"][0][2] = ["be"]
+    elif where == "path_from":
+        elem["entries"][0]["path"]["from"] = None
+    else:
+        elem["entries"][1]["path"]["segs"][0]["cell"] = 2
+    bad = tmp_path / "elem.json"
+    bad.write_text(json.dumps(elem))
+    status, out = invoke(capsys, "reedy-normalize",
+                         str(corpus_dir / "triangle.json"), str(bad),
+                         "--cell", "t")
+    assert status == 2
+    assert json.loads(out)["error"] == "bad_input"
+
+
+def deep_moore(depth):
+    step = json.dumps({"step": {"cell": "e", "z": [], "chi": {
+        "src": "1", "dst": "1", "breaks": [["0", "0"], ["1", "1"]]}}})
+    return '{"moore": [' * depth + step + (", " + step + "]}") * depth
+
+
+@pytest.mark.parametrize("depth, error", [
+    (400, "endpoint_mismatch"), (900, "bad_input"), (1200, "bad_input")])
+def test_deeply_nested_paths_exit_two(corpus_dir, tmp_path, depth, error):
+    # in a fresh process, as the CLI runs: the depth limit is the
+    # interpreter's, not the test runner's
+    deep = tmp_path / "deep.json"
+    deep.write_text(deep_moore(depth))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(dipath.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dipath", "normalize",
+         str(corpus_dir / "segment.json"), str(deep)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["error"] == error
+    if error == "bad_input":
+        # the decoder gave up: the detail names the file
+        assert "deep.json" in report["detail"]
+
+
+def test_recursion_error_anywhere_exits_two(corpus_dir, capsys, monkeypatch):
+    import dipath.cli as cli
+
+    def too_deep(data):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "expr_from_json", too_deep)
+    status, out = invoke(capsys, "normalize", str(corpus_dir / "square.json"),
+                         str(corpus_dir / "path_a.json"))
+    assert status == 2
+    assert json.loads(out)["error"] == "bad_input"
+
+
 def test_normalize_reports_normal_path(corpus_dir, capsys):
     status, out = invoke(capsys, "normalize",
                          str(corpus_dir / "square.json"),

@@ -11,9 +11,9 @@ import pytest
 
 from dipath.cellcomplex import Cell, ComplexDesc, NormComp, validate
 from dipath.errors import (
+    BadDimError,
     BadInputError,
     HasLoopsError,
-    HigherCellsPresentError,
     UnboundedEnumerationError,
 )
 from dipath.gspace import free, tensor_free
@@ -33,7 +33,7 @@ from dipath.mooreflow import (
     realize_globe_flow,
 )
 from dipath.reedy import pushout_check
-from fixture_lib import build, chain_desc, edge, estep, globe
+from fixture_lib import CORPUS, build, chain_desc, edge, estep, globe
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +220,65 @@ def test_counit_check_on_random_complexes():
             for i, cell in enumerate(cells)]
 
 
+def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
+    # every shape of every step is built, tested, realized and compared,
+    # and every base slot is checked against both complexes of its step
+    from random import Random
+
+    import dipath.mooreflow as mf
+    import dipath.reedy as reedy
+    from dipath.cellcomplex import Complex
+    from helpers import rand_loopfree_complex
+
+    log = []
+    check_pushout, realize = reedy._check_pushout, reedy.realize
+    is_simplified, check = reedy.is_simplified, Complex.check_normal_path
+
+    def step_spy(base, pushout, cell, bound, paths):
+        log.append({"base": base, "pushout": pushout, "simplified": 0,
+                    "realized": 0, "slots": 0, "on_base": 0, "on_pushout": 0})
+        return check_pushout(base, pushout, cell, bound, paths)
+
+    def simplified_spy(elem, base, cell):
+        log[-1]["simplified"] += 1
+        return is_simplified(elem, base, cell)
+
+    def realize_spy(elem, pushout, cell_id):
+        log[-1]["realized"] += 1
+        log[-1]["slots"] += sum(isinstance(e, reedy.APath)
+                                for e in elem.entries)
+        return realize(elem, pushout, cell_id)
+
+    def check_spy(self, np):
+        if log and self is log[-1]["base"]:
+            log[-1]["on_base"] += 1
+        elif log and self is log[-1]["pushout"]:
+            log[-1]["on_pushout"] += 1
+        return check(self, np)
+
+    monkeypatch.setattr(mf, "_check_pushout", step_spy)
+    monkeypatch.setattr(reedy, "is_simplified", simplified_spy)
+    monkeypatch.setattr(reedy, "realize", realize_spy)
+    monkeypatch.setattr(Complex, "check_normal_path", check_spy)
+    rng = Random(8)
+    complexes = [build(name) for name in ("square", "grid21", "stacked_globe",
+                                          "double_globe", "loop_heavy")]
+    complexes += [rand_loopfree_complex(rng) for _ in range(4)]
+    for cx in complexes:
+        log.clear()
+        report = counit_check(cx, 5)
+        assert report["ok"] and len(log) == len(report["steps"])
+        for step, seen in zip(report["steps"], log):
+            assert seen["pushout"].desc.cells == (
+                seen["base"].desc.cells + (cx.cell(step["cell"]),))
+            shapes = len(step["lhs_carriers"])
+            assert seen["simplified"] == seen["realized"] == shapes
+            assert seen["on_base"] == seen["on_pushout"] == seen["slots"]
+        # the pushout of each step is the base of the next
+        for prev, nxt in zip(log, log[1:]):
+            assert nxt["base"] is prev["pushout"]
+
+
 def test_fundamental_category_oracle_on_random_complexes():
     from random import Random
 
@@ -356,11 +415,18 @@ def test_fundamental_category_rejects_loops():
 
 
 def test_fundamental_category_rejects_higher_cells():
+    # validate refuses a disk dimension above 1, so no complex that
+    # fundamental_category can receive holds one, and a validated complex
+    # cannot be given one afterwards
+    desc = CORPUS["segment"]
+    higher = Cell("h", 2, "0", "1")
+    with pytest.raises(BadDimError):
+        validate(ComplexDesc(desc.states, desc.cells + (higher,)))
     cx = build("segment")
-    cx.desc = ComplexDesc(cx.desc.states,
-                          cx.desc.cells + (Cell("h", 2, "0", "1"),))
-    with pytest.raises(HigherCellsPresentError):
-        fundamental_category(cx)
+    with pytest.raises(AttributeError):
+        cx.desc = ComplexDesc(desc.states, desc.cells + (higher,))
+    assert cx.desc == desc
+    assert fundamental_category(cx).hom("0", "1") == (("e",),)
 
 
 # ---------------------------------------------------------------------------

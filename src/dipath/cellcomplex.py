@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 from weakref import ref
 
 from .errors import (
@@ -132,16 +132,27 @@ def np_to_expr(np: NormalPath) -> PathExpr:
     return expr
 
 
-def sq_norm(z: tuple[Fraction, ...]) -> Fraction:
-    """The squared Euclidean norm of a rational point: the sum is kept as
-    one integer numerator over one integer denominator, and a single
-    Fraction is built at the end."""
+def _sq_norm_terms(z: tuple[Fraction, ...]) -> tuple[int, int]:
+    """The squared Euclidean norm of a rational point as one integer
+    numerator over one positive integer denominator."""
     num, den = 0, 1
     for zi in z:
         d2 = zi.denominator * zi.denominator
         num = num * d2 + zi.numerator * zi.numerator * den
         den *= d2
-    return Fraction(num, den)
+    return num, den
+
+
+def sq_norm(z: tuple[Fraction, ...]) -> Fraction:
+    """The squared Euclidean norm of a rational point, one Fraction built."""
+    return Fraction(*_sq_norm_terms(z))
+
+
+def disk_side(z: tuple[Fraction, ...]) -> int:
+    """-1, 0 or 1 as the point lies inside, on or outside the unit sphere:
+    the sign of |z|^2 - 1, decided on integers with no Fraction built."""
+    num, den = _sq_norm_terms(z)
+    return (num > den) - (num < den)
 
 
 def repar_normal(np: NormalPath, phi: PLHomeo) -> NormalPath:
@@ -377,10 +388,10 @@ class Complex:
         if step.chi.dst_len != 1:
             raise BadLengthError(
                 f"step time law must land in [0,1], got [0,{step.chi.dst_len}]")
-        sq = sq_norm(step.z)
-        if sq > 1:
+        side = disk_side(step.z)
+        if side > 0:
             raise OutOfDomainError(f"point {step.z} outside the closed disk")
-        if sq < 1 or cell.disk_dim == 0:
+        if side < 0 or cell.disk_dim == 0:
             return NormalPath(cell.src, cell.dst,
                               (Seg(cell.id, step.z, step.chi),))
         minus, plus = self.boundary_normal(cell.id)
@@ -470,7 +481,7 @@ class Complex:
             if len(seg.z) != cell.disk_dim:
                 raise BadDimError(
                     f"segment in {cell.id}: wrong point arity {len(seg.z)}")
-            if cell.disk_dim > 0 and sq_norm(seg.z) >= 1:
+            if cell.disk_dim > 0 and disk_side(seg.z) >= 0:
                 raise OutOfDomainError(
                     f"segment point {seg.z} must be interior")
             if seg.chi.dst_len != 1:
@@ -555,13 +566,22 @@ def validate(desc: ComplexDesc) -> Complex:
     State names and cell ids are checked for repeats first; then the cells
     are attached one at a time by :meth:`Complex.extend`, each admitted
     against the cells before it."""
+    for cx in prefix_complexes(desc):
+        pass
+    return cx
+
+
+def prefix_complexes(desc: ComplexDesc) -> Iterator[Complex]:
+    """The fold behind :func:`validate`, one complex per prefix of the cells:
+    the complex with no cells first and the whole complex last."""
     cx = Complex(desc.states)
     ids = [c.id for c in desc.cells]
     if len(set(ids)) != len(ids):
         raise UnknownCellError("cell ids must be distinct")
+    yield cx
     for cell in desc.cells:
         cx = cx.extend(cell)
-    return cx
+        yield cx
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ import json
 import sys
 
 from .cellcomplex import (
-    ComplexDesc,
     complex_from_json,
     expr_from_json,
     normal_path_to_json,
+    prefix_complexes,
     validate,
 )
 from .errors import BadInputError, EngineError, UnknownCellError
@@ -41,14 +41,19 @@ def _load_complex(path: str):
     return validate(complex_from_json(_load_json(path)))
 
 
-def _split_at_cell(cx, cell_id: str):
-    """The base complex before the named cell, plus the cell itself."""
-    ids = [c.id for c in cx.desc.cells]
-    if cell_id not in ids:
+def _split_at_cell(path: str, cell_id: str):
+    """The base complex before the named cell, plus the cell itself.  The
+    whole complex is validated as by :func:`_load_complex`, and the base is
+    the prefix complex kept from that same fold."""
+    desc = complex_from_json(_load_json(path))
+    ids = [c.id for c in desc.cells]
+    index = ids.index(cell_id) if cell_id in ids else None
+    for i, cx in enumerate(prefix_complexes(desc)):
+        if i == index:
+            base = cx
+    if index is None:
         raise UnknownCellError(f"unknown cell {cell_id}")
-    index = ids.index(cell_id)
-    base = validate(ComplexDesc(cx.desc.states, cx.desc.cells[:index]))
-    return base, cx.desc.cells[index]
+    return base, desc.cells[index]
 
 
 def _render_text(value, indent=0) -> list[str]:
@@ -123,15 +128,13 @@ def _cmd_fundcat(args) -> tuple[dict, int]:
 
 
 def _cmd_reedy_normalize(args) -> tuple[dict, int]:
-    cx = _load_complex(args.complex)
-    base, cell = _split_at_cell(cx, args.cell)
+    base, cell = _split_at_cell(args.complex, args.cell)
     elem = elem_from_json(_load_json(args.elem), base)
     return elem_to_json(normalize_elem(elem, base, cell)), 0
 
 
 def _cmd_pushout_check(args) -> tuple[dict, int]:
-    cx = _load_complex(args.complex)
-    base, cell = _split_at_cell(cx, args.cell)
+    base, cell = _split_at_cell(args.complex, args.cell)
     report = pushout_check(base, cell, args.bound)
     return report, 0 if report["bijection"] else 1
 

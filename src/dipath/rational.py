@@ -35,3 +35,9 @@ def as_length(value) -> Fraction:
     if x <= 0:
         raise BadLengthError(f"length must be > 0, got {x}")
     return x
+
+
+def format_ratio(num: int, den: int) -> str:
+    """The string of num/den given in lowest terms with den > 0: the same
+    string as ``format_fraction(Fraction(num, den))``, with no Fraction."""
+    return str(num) if den == 1 else f"{num}/{den}"

@@ -28,12 +28,12 @@ from .cellcomplex import (
     NormalPath,
     Seg,
     Step,
+    disk_side,
     normal_path_from_json,
     normal_path_to_json,
     json_int,
     json_str,
     repar_normal,
-    sq_norm,
 )
 from .errors import (
     BadInputError,
@@ -143,7 +143,7 @@ def make_elem(obj: ReedyObj, entries, base: Complex) -> ReedyElem:
         elif isinstance(entry, CellPath):
             if e != 1:
                 raise BadInputError("flag-0 slot holds a cell path")
-            if sq_norm(entry.z) > 1:
+            if disk_side(entry.z) > 0:
                 raise OutOfDomainError(
                     f"cell point {entry.z} outside the closed disk")
             if entry.chi.dst_len != 1:
@@ -229,7 +229,7 @@ def _demotions(elem: ReedyElem, base: Complex, cell: Cell) -> list[int]:
                 raise ComplexMismatchError(
                     f"cell point arity {len(entry.z)} does not match "
                     f"disk dimension {cell.disk_dim}")
-            if sq_norm(entry.z) == 1:
+            if disk_side(entry.z) == 0:
                 out.append(i)
     return out
 

@@ -7,18 +7,20 @@ and block decomposition, which is everything the path-algebra layers need,
 and equality of canonical forms coincides with pointwise equality.
 
 All arithmetic is exact; there is no floating point anywhere in the engine.
-``Fraction`` stays at the API and JSON boundary (``PLHomeo.breaks``); the
-sweeps inside work on integer (numerator, denominator) pairs, compare and
-interpolate by cross-multiplication, and build a ``Fraction`` only for a new
-coordinate of a result break.
+A break (xn/xd, yn/yd) is stored as the integer point (xn, xd, yn, yd) in
+lowest terms with positive denominators, so equal maps hold equal points;
+the sweeps compare and interpolate on these integers by cross-multiplication.
+``Fraction`` stays at the API and JSON boundary: :func:`make_pl` reads it,
+and ``breaks``, ``src_len`` and ``dst_len`` are views built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from math import gcd
+from typing import Iterable, Sequence
 
 from .errors import (
     BadEndpointsError,
@@ -28,74 +30,74 @@ from .errors import (
     NonMonotonicError,
     OutOfDomainError,
 )
-from .rational import as_length, format_fraction, parse_fraction
+from .rational import as_length, format_ratio, parse_fraction
 
-Break = tuple[Fraction, Fraction]
-# a break as integer pairs, then as Fractions where known (shared by results)
-Pt = tuple[int, int, int, int, Optional[Fraction], Optional[Fraction]]
-_ZERO = Fraction(0)
+# (xn, xd, yn, yd): reduced when stored, possibly not inside a sweep
+Pt = tuple[int, int, int, int]
+_ORIGIN: Pt = (0, 1, 0, 1)
 
 
 @dataclass(frozen=True)
 class PLHomeo:
-    """Canonical break list of a PL increasing bijection.
+    """Canonical break list of a PL increasing bijection, as integer points.
 
     Construct through :func:`make_pl`, :func:`identity` or :func:`mu`; direct
     instantiation skips canonicalization and breaks equality semantics.
+    Equality and hashing read ``pts`` alone.
     """
 
-    breaks: tuple[Break, ...]
+    pts: tuple[Pt, ...]
 
-    @property
+    @cached_property
+    def breaks(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The breaks as (x, y) Fraction pairs; a read-only view."""
+        return tuple((Fraction(xn, xd), Fraction(yn, yd))
+                     for xn, xd, yn, yd in self.pts)
+
+    @cached_property
     def src_len(self) -> Fraction:
-        return self.breaks[-1][0]
+        return Fraction(self.pts[-1][0], self.pts[-1][1])
 
-    @property
+    @cached_property
     def dst_len(self) -> Fraction:
-        return self.breaks[-1][1]
+        return Fraction(self.pts[-1][2], self.pts[-1][3])
 
     def is_identity(self) -> bool:
-        return self.breaks == ((_ZERO, _ZERO), (self.src_len, self.src_len))
+        return len(self.pts) == 2 and self.pts[1][:2] == self.pts[1][2:]
 
     def __repr__(self) -> str:
         pts = ", ".join(f"({x}, {y})" for x, y in self.breaks)
         return f"PLHomeo[{pts}]"
 
     def to_json(self) -> dict:
-        return {
-            "src": format_fraction(self.src_len),
-            "dst": format_fraction(self.dst_len),
-            "breaks": [[format_fraction(x), format_fraction(y)]
-                       for x, y in self.breaks],
-        }
+        breaks = [[format_ratio(xn, xd), format_ratio(yn, yd)]
+                  for xn, xd, yn, yd in self.pts]
+        return {"src": breaks[-1][0], "dst": breaks[-1][1], "breaks": breaks}
 
 
-def _ints(breaks: Iterable[Break]) -> list[Pt]:
-    return [(x.numerator, x.denominator, y.numerator, y.denominator, x, y)
-            for x, y in breaks]
+def _lowest(p: Pt) -> Pt:
+    xn, xd, yn, yd = p
+    g, h = gcd(xn, xd), gcd(yn, yd)
+    return p if g == h == 1 else (xn // g, xd // g, yn // h, yd // h)
 
 
-def _canonical(pts: Sequence[Pt]) -> tuple[Break, ...]:
-    """Drop collinear interior breaks and rebuild the Fraction break list."""
-    kept = [pts[0]]
-    for i in range(1, len(pts) - 1):
-        x1, a1, y1, b1, _, _ = kept[-1]
-        x2, a2, y2, b2, _, _ = pts[i]
-        x3, a3, y3, b3, _, _ = pts[i + 1]
+def _canonical(pts: Sequence[Pt]) -> tuple[Pt, ...]:
+    """Reduce each point to lowest terms; drop collinear interior breaks."""
+    red = list(map(_lowest, pts))
+    kept = [red[0]]
+    for p, q in zip(red[1:-1], red[2:]):
+        (x1, a1, y1, b1), (x2, a2, y2, b2), (x3, a3, y3, b3) = kept[-1], p, q
         # (y2 - y1)(x3 - x2) != (y3 - y2)(x2 - x1), times every denominator
         if ((y2 * b1 - y1 * b2) * (x3 * a2 - x2 * a3) * b3 * a1
                 != (y3 * b2 - y2 * b3) * (x2 * a1 - x1 * a2) * b1 * a3):
-            kept.append(pts[i])
-    kept.append(pts[-1])
-    return tuple((Fraction(xn, xd) if x is None else x,
-                  Fraction(yn, yd) if y is None else y)
-                 for xn, xd, yn, yd, x, y in kept)
+            kept.append(p)
+    return (*kept, red[-1])
 
 
 def _lerp(p: Pt, q: Pt, tn: int, td: int, s: int) -> tuple[int, int]:
     """On the segment p-q, the other coordinate where axis s (0: source,
     2: target) reads t = tn/td: b1 + (b2 - b1)(t - a1)/(a2 - a1) as an
-    unreduced (numerator, denominator) pair."""
+    unreduced (numerator, denominator) pair with a positive denominator."""
     o = 2 - s
     a1, c1, b1, d1 = p[s], p[s + 1], p[o], p[o + 1]
     a2, c2, b2, d2 = q[s], q[s + 1], q[o], q[o + 1]
@@ -106,52 +108,53 @@ def _lerp(p: Pt, q: Pt, tn: int, td: int, s: int) -> tuple[int, int]:
 
 def make_pl(src_len, dst_len, breaks: Iterable) -> PLHomeo:
     """Build a PLHomeo from raw break pairs, canonicalizing the result."""
-    src = as_length(src_len)
-    dst = as_length(dst_len)
-    pts = [(Fraction(x), Fraction(y)) for x, y in breaks]
-    if len(pts) < 2:
+    src, dst = as_length(src_len), as_length(dst_len)
+    pairs = [(Fraction(x), Fraction(y)) for x, y in breaks]
+    if len(pairs) < 2:
         raise BadEndpointsError("need at least the two endpoint breaks")
-    if pts[0] != (0, 0):
-        raise BadEndpointsError(f"first break must be (0, 0), got {pts[0]}")
-    if pts[-1] != (src, dst):
+    if pairs[0] != (0, 0):
+        raise BadEndpointsError(f"first break must be (0, 0), got {pairs[0]}")
+    if pairs[-1] != (src, dst):
         raise BadEndpointsError(
-            f"last break must be ({src}, {dst}), got {pts[-1]}")
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
-        if x2 <= x1 or y2 <= y1:
+            f"last break must be ({src}, {dst}), got {pairs[-1]}")
+    pts = [(x.numerator, x.denominator, y.numerator, y.denominator)
+           for x, y in pairs]
+    for i in range(1, len(pts)):
+        (x1, a1, y1, b1), (x2, a2, y2, b2) = pts[i - 1], pts[i]
+        if x2 * a1 <= x1 * a2 or y2 * b1 <= y1 * b2:
+            (x1, y1), (x2, y2) = pairs[i - 1], pairs[i]
             raise NonMonotonicError(
                 f"breaks must strictly increase: ({x1},{y1}) then ({x2},{y2})")
-    return PLHomeo(_canonical(_ints(pts)))
-
-
-def identity(length) -> PLHomeo:
-    ell = as_length(length)
-    return PLHomeo(((_ZERO, _ZERO), (ell, ell)))
-
-
-def mu(length) -> PLHomeo:
-    """The linear rescaling [0, length] -> [0, 1], t |-> t / length."""
-    ell = as_length(length)
-    return PLHomeo(((_ZERO, _ZERO), (ell, Fraction(1))))
+    return PLHomeo(_canonical(pts))
 
 
 def scale(src_len, dst_len) -> PLHomeo:
     """The linear map [0, src_len] -> [0, dst_len]."""
-    return PLHomeo(((_ZERO, _ZERO), (as_length(src_len), as_length(dst_len))))
+    src, dst = as_length(src_len), as_length(dst_len)
+    return PLHomeo((_ORIGIN, (src.numerator, src.denominator,
+                              dst.numerator, dst.denominator)))
+
+
+def identity(length) -> PLHomeo:
+    return scale(length, length)
+
+
+def mu(length) -> PLHomeo:
+    """The linear rescaling [0, length] -> [0, 1], t |-> t / length."""
+    return scale(length, 1)
 
 
 def _eval(phi: PLHomeo, t, s: int) -> Fraction:
-    """phi(t) for s = 0, phi^{-1}(t) for s = 1."""
-    t = Fraction(t)
-    bs = phi.breaks
-    if t < 0 or t > bs[-1][s]:
-        raise OutOfDomainError(f"{t} outside [0, {bs[-1][s]}]")
+    """phi(t) for s = 0, phi^{-1}(t) for s = 2."""
+    t, pts = Fraction(t), phi.pts
+    tn, td = t.numerator, t.denominator
+    if tn < 0 or tn * pts[-1][s + 1] > pts[-1][s] * td:
+        raise OutOfDomainError(
+            f"{t} outside [0, {format_ratio(pts[-1][s], pts[-1][s + 1])}]")
     i = 1
-    while bs[i][s] < t:
+    while pts[i][s] * td < tn * pts[i][s + 1]:
         i += 1
-    if bs[i][s] == t:
-        return bs[i][1 - s]
-    p, q = _ints(bs[i - 1:i + 1])
-    return Fraction(*_lerp(p, q, t.numerator, t.denominator, 2 * s))
+    return Fraction(*_lerp(pts[i - 1], pts[i], tn, td, s))
 
 
 def pl_eval(phi: PLHomeo, t) -> Fraction:
@@ -161,7 +164,7 @@ def pl_eval(phi: PLHomeo, t) -> Fraction:
 
 def pl_eval_inv(phi: PLHomeo, y) -> Fraction:
     """Exact preimage phi^{-1}(y); phi is bijective by invariant."""
-    return _eval(phi, y, 1)
+    return _eval(phi, y, 2)
 
 
 def compose(phi: PLHomeo, psi: PLHomeo) -> PLHomeo:
@@ -171,30 +174,30 @@ def compose(phi: PLHomeo, psi: PLHomeo) -> PLHomeo:
     abscissas together with the phi-preimages of psi's break abscissas,
     collected in one merge sweep over both break lists.
     """
-    if phi.dst_len != psi.src_len:
+    p, q = phi.pts, psi.pts
+    if p[-1][2:] != q[-1][:2]:
         raise LengthMismatchError(
             f"cannot chain [0,{phi.src_len}]->[0,{phi.dst_len}] "
             f"with [0,{psi.src_len}]->[0,{psi.dst_len}]")
-    p, q = _ints(phi.breaks), _ints(psi.breaks)
     pts = [p[0]]
     i = k = 1
     while i < len(p):
-        xn, xd, yn, yd, x, _ = p[i]
-        un, ud, vn, vd, _, v = q[k]
+        xn, xd, yn, yd = p[i]
+        un, ud, vn, vd = q[k]
         c = yn * ud - un * yd
         if c < 0:  # phi's break comes first: evaluate psi there
-            pts.append((xn, xd, *_lerp(q[k - 1], q[k], yn, yd, 0), x, None))
+            pts.append((xn, xd, *_lerp(q[k - 1], q[k], yn, yd, 0)))
         elif c > 0:  # psi's break comes first: pull it back through phi
-            pts.append((*_lerp(p[i - 1], p[i], un, ud, 2), vn, vd, None, v))
+            pts.append((*_lerp(p[i - 1], p[i], un, ud, 2), vn, vd))
         else:
-            pts.append((xn, xd, vn, vd, x, v))
+            pts.append((xn, xd, vn, vd))
         i += c <= 0  # step past the break(s) just used
         k += c >= 0
     return PLHomeo(_canonical(pts))
 
 
 def inverse(phi: PLHomeo) -> PLHomeo:
-    return PLHomeo(tuple((y, x) for x, y in phi.breaks))
+    return PLHomeo(tuple((yn, yd, xn, xd) for xn, xd, yn, yd in phi.pts))
 
 
 def tensor(*phis: PLHomeo) -> PLHomeo:
@@ -202,15 +205,11 @@ def tensor(*phis: PLHomeo) -> PLHomeo:
     partial sums of the source and destination lengths."""
     if not phis:
         raise BadInputError("tensor needs at least one factor")
-    pts = [(0, 1, 0, 1, _ZERO, _ZERO)]
-    off_x = off_y = _ZERO
+    pts = [_ORIGIN]
     for phi in phis:
-        an, ad, bn, bd, _, _ = _ints([(off_x, off_y)])[0]
-        for xn, xd, yn, yd, _, _ in _ints(phi.breaks[1:]):
-            pts.append((an * xd + xn * ad, ad * xd, bn * yd + yn * bd,
-                        bd * yd, None, None))
-        off_x += phi.src_len
-        off_y += phi.dst_len
+        an, ad, bn, bd = _lowest(pts[-1])  # the end of the blocks so far
+        pts += [(an * xd + xn * ad, ad * xd, bn * yd + yn * bd, bd * yd)
+                for xn, xd, yn, yd in phi.pts[1:]]
     return PLHomeo(_canonical(pts))
 
 
@@ -218,30 +217,29 @@ def _blocks(phi: PLHomeo, lengths: Sequence, s: int) -> tuple[PLHomeo, ...]:
     """Cut phi in one sweep where the partial sums of lengths fall on axis s
     (0: source, 2: target), shifting each piece to (0, 0).  Pieces are
     canonical: their interior breaks are phi's own, on phi's segments."""
-    total = phi.breaks[-1][s // 2]
-    cuts = list(accumulate(as_length(v) for v in lengths))
-    if not cuts or cuts[-1] != total:
+    pts, cuts, cn, cd = phi.pts, [], 0, 1
+    for v in map(as_length, lengths):
+        cn, cd = cn * v.denominator + v.numerator * cd, cd * v.denominator
+        g = gcd(cn, cd)
+        cn, cd = cn // g, cd // g
+        cuts.append((cn, cd))
+    if not cuts or (cn, cd) != pts[-1][s:s + 2]:
         raise LengthSumMismatchError(
-            f"lengths sum to {cuts[-1] if cuts else 0}, expected {total}")
-    pts = _ints(phi.breaks)
+            f"lengths sum to {format_ratio(cn, cd)}, expected "
+            f"{format_ratio(*pts[-1][s:s + 2])}")
     blocks, piece, i = [], [pts[0]], 1
-    for cut in cuts:
-        cn, cd = cut.numerator, cut.denominator
+    for cn, cd in cuts:
         while pts[i][s] * cd < cn * pts[i][s + 1]:
             piece.append(pts[i])
             i += 1
-        if pts[i][s] * cd == cn * pts[i][s + 1]:
-            end = pts[i]
-            i += 1
-        else:
-            vn, vd = _lerp(pts[i - 1], pts[i], cn, cd, s)
-            end = ((cn, cd, vn, vd, None, None) if s == 0
-                   else (vn, vd, cn, cd, None, None))
-        an, ad, bn, bd, _, _ = piece[0]
-        blocks.append(PLHomeo(((_ZERO, _ZERO),) + tuple(
-            (Fraction(xn * ad - an * xd, xd * ad),
-             Fraction(yn * bd - bn * yd, yd * bd))
-            for xn, xd, yn, yd, _, _ in piece[1:] + [end])))
+        vn, vd = _lerp(pts[i - 1], pts[i], cn, cd, s)
+        end = (cn, cd, vn, vd) if s == 0 else (vn, vd, cn, cd)
+        i += pts[i][s] * cd == cn * pts[i][s + 1]  # the cut is phi's break
+        piece.append(end)
+        an, ad, bn, bd = piece[0]
+        blocks.append(PLHomeo((_ORIGIN, *(
+            _lowest((xn * ad - an * xd, xd * ad, yn * bd - bn * yd, yd * bd))
+            for xn, xd, yn, yd in piece[1:]))))
         piece = [end]
     return tuple(blocks)
 

@@ -10,45 +10,60 @@ from fractions import Fraction
 from random import Random
 
 from .errors import EngineError
-from .reparam import PLHomeo, identity, make_pl
+from .rational import as_length
+from .reparam import PLHomeo, _canonical, identity
 
 _DENOMS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16)
+_UNIT = 5040  # the lcm of _DENOMS: every draw is a whole number of 1/_UNIT
+
+
+def _rand_unit(rng: Random, max_den: int = 16) -> int:
+    """A seeded rational num/den strictly inside (0, 1), with den drawn from
+    ``_DENOMS``, as the integer num/den * _UNIT."""
+    den = rng.choice([d for d in _DENOMS if d <= max_den])
+    return rng.randrange(1, den) * (_UNIT // den)
 
 
 def rand_fraction(rng: Random, lo, hi, max_den: int = 16) -> Fraction:
     """A rational strictly inside (lo, hi)."""
     lo = Fraction(lo)
     hi = Fraction(hi)
-    while True:
-        den = rng.choice([d for d in _DENOMS if d <= max_den])
-        num = rng.randrange(1, den)
-        x = lo + (hi - lo) * Fraction(num, den)
-        if lo < x < hi:
-            return x
+    if not lo < hi:
+        raise EngineError(f"no rational strictly inside ({lo}, {hi})")
+    k = _rand_unit(rng, max_den)
+    # lo + (hi - lo) k / _UNIT over one common denominator
+    return Fraction(lo.numerator * hi.denominator * (_UNIT - k)
+                    + hi.numerator * lo.denominator * k,
+                    lo.denominator * hi.denominator * _UNIT)
 
 
 def rand_partition(rng: Random, total, n: int) -> list[Fraction]:
     """Split a positive length into n strictly positive rational parts."""
-    total = Fraction(total)
-    cuts = sorted(rand_fraction(rng, 0, total) for _ in range(n - 1))
+    total = as_length(total)
+    if n < 1:
+        raise EngineError(f"cannot split a length into {n} parts")
+    cuts = sorted(_rand_unit(rng) for _ in range(n - 1))
     while len(set(cuts)) != n - 1:
-        cuts = sorted(rand_fraction(rng, 0, total) for _ in range(n - 1))
-    pts = [Fraction(0)] + cuts + [total]
-    return [b - a for a, b in zip(pts, pts[1:])]
+        cuts = sorted(_rand_unit(rng) for _ in range(n - 1))
+    pts = [0, *cuts, _UNIT]
+    return [Fraction(total.numerator * (b - a), total.denominator * _UNIT)
+            for a, b in zip(pts, pts[1:])]
 
 
 def rand_pl(rng: Random, src, dst, max_segments: int = 8) -> PLHomeo:
     """A random PL increasing bijection [0,src] -> [0,dst] with at most
-    ``max_segments`` linear pieces."""
-    src = Fraction(src)
-    dst = Fraction(dst)
+    ``max_segments`` linear pieces.  The breaks are distinct sorted draws on
+    both axes, so they strictly increase and need no further check."""
+    src, dst = as_length(src), as_length(dst)
     n = rng.randrange(1, max_segments + 1)
-    xs = sorted(set(rand_fraction(rng, 0, src) for _ in range(n - 1)))
-    ys = sorted(set(rand_fraction(rng, 0, dst) for _ in range(len(xs))))
+    xs = sorted({_rand_unit(rng) for _ in range(n - 1)})
+    ys = sorted({_rand_unit(rng) for _ in range(len(xs))})
     while len(ys) != len(xs):
-        ys = sorted(set(rand_fraction(rng, 0, dst) for _ in range(len(xs))))
-    pts = [(Fraction(0), Fraction(0))] + list(zip(xs, ys)) + [(src, dst)]
-    return make_pl(src, dst, pts)
+        ys = sorted({_rand_unit(rng) for _ in range(len(xs))})
+    return PLHomeo(_canonical([
+        (src.numerator * x, src.denominator * _UNIT,
+         dst.numerator * y, dst.denominator * _UNIT)
+        for x, y in zip([0, *xs, _UNIT], [0, *ys, _UNIT])]))
 
 
 def rand_nonidentity_pl(rng: Random, length=1, max_segments: int = 8) -> PLHomeo:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dipath.cellcomplex import (
@@ -18,6 +18,7 @@ from dipath.cellcomplex import (
     Step,
     complex_from_json,
     complex_to_json,
+    disk_side,
     expr_from_json,
     expr_to_json,
     normal_path_from_json,
@@ -810,3 +811,14 @@ def test_sq_norm_matches_the_fraction_formula(z):
     want = sum((F(zi) * F(zi) for zi in z), F(0))
     got = sq_norm(tuple(z))
     assert type(got) is F and got == want
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(coords, max_size=5))
+@example([1])
+@example([F(-3, 5), F(4, 5)])
+@example([F(3, 5), F(4, 5), F(1, 7)])
+@example([])
+def test_disk_side_is_the_sign_of_the_squared_norm_minus_one(z):
+    gap = sum((F(zi) * F(zi) for zi in z), F(0)) - 1
+    assert disk_side(tuple(z)) == (gap > 0) - (gap < 0)

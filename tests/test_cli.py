@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import dipath
-from dipath.cellcomplex import NormalPath
+from dipath.cellcomplex import Complex, NormalPath
 from dipath.cli import run
 
 
@@ -289,6 +289,53 @@ def test_pushout_check_cli(corpus_dir, capsys):
                          "--cell", "t", "--bound", "4")
     assert status == 0
     assert json.loads(out)["bijection"] is True
+
+
+@pytest.mark.parametrize("argv,after", [
+    (("pushout-check", "{c}", "--cell", "t", "--bound", "4"), ["t"]),
+    (("reedy-normalize", "{c}", "{e}", "--cell", "t"), []),
+    (("pushout-check", "{c}", "--cell", "nope", "--bound", "4"), []),
+], ids=["pushout_check", "reedy_normalize", "unknown_cell"])
+def test_split_at_cell_folds_the_complex_once(corpus_dir, capsys, monkeypatch,
+                                              argv, after):
+    # the base complex before --cell is kept from the fold that validates
+    # the whole complex: one extend per cell, not a second fold of a prefix;
+    # pushout_check then attaches the cell to the base once more, to build
+    # the pushout it checks
+    calls = []
+    extend = Complex.extend
+
+    def counted(cx, cell):
+        calls.append(cell.id)
+        return extend(cx, cell)
+
+    monkeypatch.setattr(Complex, "extend", counted)
+    status, out = invoke(capsys, *(a.format(
+        c=corpus_dir / "triangle.json",
+        e=corpus_dir / "elem_two_runs.json") for a in argv))
+    cells = json.loads((corpus_dir / "triangle.json").read_text())["cells"]
+    assert calls == [c["id"] for c in cells] + after
+    if "nope" in argv:
+        assert status == 2
+        assert json.loads(out) == {"error": "unknown_cell",
+                                   "detail": "unknown cell nope"}
+    else:
+        assert status == 0
+
+
+def test_split_at_cell_still_validates_cells_after_the_named_one(
+        tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "states": ["0", "1"],
+        "cells": [EDGE, {"id": "f", "dim": 0, "from": "0", "to": "9"}],
+    }))
+    for argv in (("pushout-check", str(bad), "--cell", "e", "--bound", "2"),
+                 ("pushout-check", str(bad), "--cell", "nope", "--bound", "2"),
+                 ("reedy-normalize", str(bad), str(bad), "--cell", "e")):
+        status, out = invoke(capsys, *argv)
+        assert status == 2
+        assert json.loads(out)["error"] == "unknown_state"
 
 
 def test_counit_check_cli(corpus_dir, capsys):

@@ -6,6 +6,7 @@ expected values before trusting the library's own ``pl_eval``.
 """
 
 from fractions import Fraction as F
+from math import gcd
 from random import Random
 
 import pytest
@@ -23,7 +24,6 @@ from dipath.errors import (
 from dipath.reparam import (
     PLHomeo,
     _canonical,
-    _ints,
     compose,
     decompose,
     equals,
@@ -37,7 +37,12 @@ from dipath.reparam import (
     split,
     tensor,
 )
-from dipath.sampling import rand_nonidentity_pl, rand_partition, rand_pl
+from dipath.sampling import (
+    rand_fraction,
+    rand_nonidentity_pl,
+    rand_partition,
+    rand_pl,
+)
 
 
 def oracle_eval(breaks, t):
@@ -56,6 +61,67 @@ def test_rand_nonidentity_pl_gives_up_with_an_engine_error():
     # one linear piece from [0,1] onto [0,1] is always the identity
     with pytest.raises(EngineError, match="non-identity"):
         rand_nonidentity_pl(Random(0), 1, max_segments=1)
+
+
+# the Fraction generators the integer ones replaced, kept as the reference
+DENOMS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16)
+
+
+def ref_fraction(rng, lo, hi, max_den=16):
+    lo, hi = F(lo), F(hi)
+    while True:
+        den = rng.choice([d for d in DENOMS if d <= max_den])
+        x = lo + (hi - lo) * F(rng.randrange(1, den), den)
+        if lo < x < hi:
+            return x
+
+
+def ref_partition(rng, total, n):
+    total = F(total)
+    cuts = sorted(ref_fraction(rng, 0, total) for _ in range(n - 1))
+    while len(set(cuts)) != n - 1:
+        cuts = sorted(ref_fraction(rng, 0, total) for _ in range(n - 1))
+    pts = [F(0)] + cuts + [total]
+    return [b - a for a, b in zip(pts, pts[1:])]
+
+
+def ref_pl(rng, src, dst, max_segments=8):
+    src, dst = F(src), F(dst)
+    n = rng.randrange(1, max_segments + 1)
+    xs = sorted(set(ref_fraction(rng, 0, src) for _ in range(n - 1)))
+    ys = sorted(set(ref_fraction(rng, 0, dst) for _ in range(len(xs))))
+    while len(ys) != len(xs):
+        ys = sorted(set(ref_fraction(rng, 0, dst) for _ in range(len(xs))))
+    return make_pl(src, dst, [(0, 0), *zip(xs, ys), (src, dst)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_generators_match_the_fraction_reference(seed):
+    # same values from the same rng calls, so seeded suites are unchanged
+    ours, ref = Random(seed), Random(seed)
+    for _ in range(40):
+        src = ours.choice([1, 2, F(1, 2), F(3, 7)])
+        dst = ref.choice([1, 2, F(1, 2), F(3, 7)])
+        segs = ours.randrange(1, 12)
+        assert ref.randrange(1, 12) == segs
+        phi = rand_pl(ours, src, dst, segs)
+        assert phi == ref_pl(ref, src, dst, segs)
+        assert_canonical_points(phi)
+        n = ours.randrange(1, 9)
+        assert ref.randrange(1, 9) == n
+        assert rand_partition(ours, src, n) == ref_partition(ref, src, n)
+        for lo, hi, max_den in ((-1, 1, 16), (F(1, 3), 2, 5), (0, dst, 2)):
+            x = rand_fraction(ours, lo, hi, max_den)
+            assert type(x) is F and x == ref_fraction(ref, lo, hi, max_den)
+    assert ours.getstate() == ref.getstate()
+
+
+def test_generators_refuse_empty_requests():
+    # an empty interval or no parts at all used to make the draws loop
+    with pytest.raises(EngineError, match="strictly inside"):
+        rand_fraction(Random(0), 1, 1)
+    with pytest.raises(EngineError, match="0 parts"):
+        rand_partition(Random(0), 1, 0)
 
 
 def test_make_pl_identity():
@@ -245,7 +311,8 @@ def test_partial_sum_decomposition_property():
 
 
 def test_direct_construction_is_discouraged_but_equal_when_canonical():
-    shady = PLHomeo(((F(0), F(0)), (F(1), F(1))))
+    # points are (xn, xd, yn, yd) in lowest terms: the breaks (0, 0), (1, 1)
+    shady = PLHomeo(((0, 1, 0, 1), (1, 1, 1, 1)))
     assert shady == identity(1)
 
 
@@ -356,7 +423,60 @@ def test_canonical_leaves_no_collinear_break(data):
         (x1, y1), (x2, y2) = pts[i], pts[i + 1]
         r = data.draw(st.sampled_from([F(1, 2), F(1, 3), F(3, 4)]))
         pts.insert(i + 1, (x1 + r * (x2 - x1), y1 + r * (y2 - y1)))
-    out = _canonical(_ints(pts))
+    out = PLHomeo(_canonical([(x.numerator, x.denominator, y.numerator,
+                               y.denominator) for x, y in pts])).breaks
     assert out == phi.breaks
     for (x1, y1), (x2, y2), (x3, y3) in zip(out, out[1:], out[2:]):
         assert (y2 - y1) * (x3 - x2) != (y3 - y2) * (x2 - x1)
+
+
+def pointwise_equal(phi, psi):
+    """Equal domains and codomains, and equal values at every break of
+    either map, between which both are linear: checked by the oracle."""
+    if (phi.src_len, phi.dst_len) != (psi.src_len, psi.dst_len):
+        return False
+    times = {x for x, _ in phi.breaks + psi.breaks}
+    return all(oracle_eval(phi.breaks, t) == oracle_eval(psi.breaks, t)
+               for t in times)
+
+
+def assert_canonical_points(phi):
+    """Lowest-terms integer points with positive denominators, read back
+    as the Fraction view, from which make_pl rebuilds the same map."""
+    for xn, xd, yn, yd in phi.pts:
+        assert xd > 0 and yd > 0 and gcd(xn, xd) == 1 and gcd(yn, yd) == 1
+    assert phi.breaks == tuple((F(xn, xd), F(yn, yd))
+                               for xn, xd, yn, yd in phi.pts)
+    assert make_pl(phi.src_len, phi.dst_len, phi.breaks) == phi
+
+
+@PROPERTY
+@given(st.data())
+def test_every_result_holds_lowest_terms_points_and_equality_is_pointwise(
+        data):
+    phi = data.draw(pl_maps())
+    psi = data.draw(pl_maps(src=phi.dst_len))
+    src_lens = data.draw(partitions(phi.src_len))
+    dst_lens = data.draw(partitions(phi.dst_len))
+    parts = decompose(phi, src_lens)
+    blocks = split(phi, dst_lens)
+    # phi again, rebuilt from unreduced points with collinear extra breaks
+    k = data.draw(st.integers(2, 5))
+    (x0, y0), (x1, y1) = phi.breaks[:2]
+    mid = ((x0 + x1) / 2, (y0 + y1) / 2)
+    raw = [(k * x.numerator, k * x.denominator, k * y.numerator,
+            k * y.denominator) for x, y in (phi.breaks[0], mid,
+                                            *phi.breaks[1:])]
+    results = [phi, psi, compose(phi, psi), inverse(phi), tensor(phi, psi),
+               tensor(*parts), tensor(*blocks), PLHomeo(_canonical(raw)),
+               compose(phi, inverse(phi)), identity(phi.src_len),
+               *parts, *blocks]
+    for out in results:
+        assert_canonical_points(out)
+    for a in results:
+        for b in results:
+            same = a == b
+            assert same == pointwise_equal(a, b)
+            assert not same or hash(a) == hash(b)
+    assert tensor(*parts) == tensor(*blocks) == PLHomeo(_canonical(raw)) == phi
+    assert compose(phi, inverse(phi)) == identity(phi.src_len)

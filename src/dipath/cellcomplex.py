@@ -385,7 +385,7 @@ class Complex:
             raise BadDimError(
                 f"step in {cell.id}: point has {len(step.z)} coordinates, "
                 f"cell disk dimension is {cell.disk_dim}")
-        if step.chi.dst_len != 1:
+        if step.chi.pts[-1][2:] != (1, 1):
             raise BadLengthError(
                 f"step time law must land in [0,1], got [0,{step.chi.dst_len}]")
         side = disk_side(step.z)
@@ -484,7 +484,7 @@ class Complex:
             if cell.disk_dim > 0 and disk_side(seg.z) >= 0:
                 raise OutOfDomainError(
                     f"segment point {seg.z} must be interior")
-            if seg.chi.dst_len != 1:
+            if seg.chi.pts[-1][2:] != (1, 1):
                 raise BadLengthError("segment time law must land in [0,1]")
         for a, b in zip(chain, chain[1:]):
             if a.dst != b.src:

@@ -22,7 +22,6 @@ from .cellcomplex import (
 from .errors import BadInputError, EngineError, UnknownCellError
 from .mooreflow import counit_check, fundamental_category
 from .reedy import elem_from_json, elem_to_json, normalize_elem, pushout_check
-from .selfcheck import selftest_report
 
 
 def _load_json(path: str):
@@ -146,6 +145,7 @@ def _cmd_counit_check(args) -> tuple[dict, int]:
 
 
 def _cmd_selftest(args) -> tuple[dict, int]:
+    from .selfcheck import selftest_report  # the samplers load only here
     report = selftest_report(args.seed, args.scale)
     return report, 0 if report["ok"] else 1
 

@@ -67,10 +67,6 @@ class Factor:
     def length(self) -> Fraction:
         return self.twist.src_len
 
-    @property
-    def free_length(self) -> Fraction:
-        return self.twist.dst_len
-
 
 @dataclass(frozen=True)
 class TensorElem:

@@ -67,21 +67,27 @@ class ReedyObj:
 
 
 def make_obj(u: str, v: str, triples) -> ReedyObj:
-    trips = tuple((str(a), json_int(e, "triple flag"), str(b))
-                  for a, e, b in triples)
+    """The index object of ``triples``, in one pass.  Every triple is
+    converted before an error is raised; then the first chain break wins
+    over the first bad flag or flag-1 endpoints."""
+    trips, chain_error, flag_error = [], None, None
+    for a, e, b in triples:
+        a, e, b = str(a), json_int(e, "triple flag"), str(b)
+        if trips and trips[-1][2] != a and chain_error is None:
+            chain_error = EndpointMismatchError(
+                f"triples do not chain: {trips[-1][2]} != {a}")
+        if flag_error is None and e not in (0, 1):
+            flag_error = BadInputError(f"flag must be 0 or 1, got {e}")
+        elif flag_error is None and e == 1 and (a, b) != (u, v):
+            flag_error = WrongEndpointsError(
+                f"flag-1 triple must run {u} -> {v}, got {a} -> {b}")
+        trips.append((a, e, b))
     if not trips:
         raise BadInputError("an index object needs at least one triple")
-    for (_, e, b), (a2, _, _) in zip(trips, trips[1:]):
-        if b != a2:
-            raise EndpointMismatchError(
-                f"triples do not chain: {b} != {a2}")
-    for a, e, b in trips:
-        if e not in (0, 1):
-            raise BadInputError(f"flag must be 0 or 1, got {e}")
-        if e == 1 and (a, b) != (u, v):
-            raise WrongEndpointsError(
-                f"flag-1 triple must run {u} -> {v}, got {a} -> {b}")
-    return ReedyObj(u, v, trips)
+    for error in (chain_error, flag_error):
+        if error is not None:
+            raise error
+    return ReedyObj(u, v, tuple(trips))
 
 
 def degree(obj: ReedyObj) -> int:
@@ -146,7 +152,7 @@ def make_elem(obj: ReedyObj, entries, base: Complex) -> ReedyElem:
             if disk_side(entry.z) > 0:
                 raise OutOfDomainError(
                     f"cell point {entry.z} outside the closed disk")
-            if entry.chi.dst_len != 1:
+            if entry.chi.pts[-1][2:] != (1, 1):
                 raise BadLengthError("cell time law must land in [0,1]")
         else:
             raise BadInputError(f"not an entry: {entry!r}")
@@ -219,19 +225,18 @@ def _boundary_path(base: Complex, cell: Cell,
         f"cell point {z}")
 
 
-def _demotions(elem: ReedyElem, base: Complex, cell: Cell) -> list[int]:
-    out = []
+def _demotions(elem: ReedyElem, base: Complex, cell: Cell):
+    """The demotable slots, in order; a wrong-arity cell point raises."""
     for i, entry in enumerate(elem.entries):
         if isinstance(entry, InjPath):
-            out.append(i)
+            yield i
         elif isinstance(entry, CellPath):
             if len(entry.z) != cell.disk_dim:
                 raise ComplexMismatchError(
                     f"cell point arity {len(entry.z)} does not match "
                     f"disk dimension {cell.disk_dim}")
             if disk_side(entry.z) == 0:
-                out.append(i)
-    return out
+                yield i
 
 
 def _demote(elem: ReedyElem, i: int, base: Complex, cell: Cell) -> ReedyElem:
@@ -250,22 +255,27 @@ def _demote(elem: ReedyElem, i: int, base: Complex, cell: Cell) -> ReedyElem:
                      + elem.entries[i + 1:])
 
 
-def _merges(elem: ReedyElem) -> list[int]:
+def _merges(elem: ReedyElem):
+    """The slots that merge with their right neighbour, in order."""
     trips = elem.obj.triples
-    return [i for i in range(len(trips) - 1)
-            if trips[i][1] == 0 and trips[i + 1][1] == 0]
+    return (i for i in range(len(trips) - 1)
+            if trips[i][1] == 0 and trips[i + 1][1] == 0)
 
 
 def rewrite_steps(elem: ReedyElem, base: Complex, cell: Cell) -> list[ReedyElem]:
     """Every element reachable in exactly one rewrite step."""
     out = [apply_composition(elem, i) for i in _merges(elem)]
+    # the whole scan first: a wrong-arity cell point raises before any
+    # demotion runs
     out.extend(_demote(elem, i, base, cell)
-               for i in _demotions(elem, base, cell))
+               for i in list(_demotions(elem, base, cell)))
     return out
 
 
 def is_simplified(elem: ReedyElem, base: Complex, cell: Cell) -> bool:
-    return not _merges(elem) and not _demotions(elem, base, cell)
+    """Whether no rule applies; the scan stops at the first that does."""
+    return (next(_merges(elem), None) is None
+            and next(_demotions(elem, base, cell), None) is None)
 
 
 def normalize_elem(elem: ReedyElem, base: Complex, cell: Cell) -> ReedyElem:
@@ -273,16 +283,17 @@ def normalize_elem(elem: ReedyElem, base: Complex, cell: Cell) -> ReedyElem:
 
     The degree drops at every step, which bounds the rewrite length by the
     starting degree; the result has no adjacent flag-0 slots and every cell
-    point strictly interior.
+    point strictly interior.  Every cell point's arity is checked before
+    the first demotion.
     """
     _check_cell(elem, cell)
     current = elem
     while True:
-        merges = _merges(current)
-        if merges:
-            nxt = apply_composition(current, merges[0])
+        merge = next(_merges(current), None)
+        if merge is not None:
+            nxt = apply_composition(current, merge)
         else:
-            demotions = _demotions(current, base, cell)
+            demotions = list(_demotions(current, base, cell))
             if not demotions:
                 return current
             nxt = _demote(current, demotions[0], base, cell)
@@ -304,7 +315,8 @@ def realize(elem: ReedyElem, pushout: Complex, cell_id: str) -> NormalPath:
 
     Base paths are normal forms already, so each is only checked against
     the pushout; a pass through the cell is normalized, which resolves a
-    boundary point to its attached path."""
+    boundary point to its attached path.  An element of one slot realizes
+    as that slot's checked part itself."""
     cell = pushout.cell(cell_id)
     _check_cell(elem, cell)
     parts = []
@@ -313,6 +325,8 @@ def realize(elem: ReedyElem, pushout: Complex, cell_id: str) -> NormalPath:
             parts.append(pushout.check_normal_path(entry.path))
         else:
             parts.append(pushout.normalize(Step(cell_id, entry.z, entry.chi)))
+    if len(parts) == 1:
+        return parts[0]
     for left, right in zip(parts, parts[1:]):
         if left.end != right.start:
             raise EndpointMismatchError(
@@ -325,88 +339,65 @@ def realize(elem: ReedyElem, pushout: Complex, cell_id: str) -> NormalPath:
 # carrier-level pushout verification
 
 
-def _interleavings(base: Complex, cell: Cell, bound: int):
-    """Carrier words of the pushout generated from simplified shapes.
-
-    A shape is a0 [cell] a1 [cell] ... [cell] ak where each run a_i is an
-    A-carrier (possibly empty when its endpoints coincide) and no two runs
-    are adjacent.  Yields (word, runs) pairs; runs keep the slot structure
-    for building witness elements.
-    """
-    table = base.carrier_table(bound)
-    u, v = cell.src, cell.dst
-    out = []
-
-    def runs_from(state: str, budget: int, prefix_word, prefix_runs,
-                  final: bool) -> None:
-        # final run: may stop at any state; else the run must land on u.
-        if final:
-            for target in base.states:
-                for word in ([()] if target == state else []) + [
-                        w for w in table.get((state, target), ())
-                        if len(w) <= budget]:
-                    out.append((prefix_word + word,
-                                prefix_runs + ((word, state, target),)))
-        else:
-            if budget < 1:
-                return
-            choices = ([()] if state == u else []) + [
-                w for w in table.get((state, u), ()) if len(w) < budget]
-            for word in choices:
-                cell_slot = prefix_runs + ((word, state, u), ("CELL",))
-                runs_from(v, budget - len(word) - 1,
-                          prefix_word + word + (cell.id,), cell_slot,
-                          final=False)
-                runs_from(v, budget - len(word) - 1,
-                          prefix_word + word + (cell.id,), cell_slot,
-                          final=True)
-
-    for start in base.states:
-        runs_from(start, bound, (), (), final=False)
-    # k = 0 shapes are plain base carriers
-    for (a, b), words in sorted(table.items()):
-        for word in words:
-            out.append((word, ((word, a, b),)))
-    return out
-
-
 class WitnessPaths:
-    """The unit-speed paths that fill witness slots: one ``Seg`` per cell
-    and one ``NormalPath`` per run word, each built on first use and then
-    shared.  A counit check passes one instance to every step, so a slot
-    path is the same object at every step that uses it."""
+    """The parts that fill witness slots, built on first use and then
+    shared: one unit-speed ``Seg`` through the centre of each cell, and per
+    run word its flag-0 slot, the pair ``((a, 0, b), APath(path))``.  A
+    counit check passes one instance to every step, so a run's slot is the
+    same objects in every shape and step that use it; each witness holding
+    it still checks it."""
 
     def __init__(self, cells):
         self._units = {c.id: Seg(c.id, (_ZERO,) * c.disk_dim, _UNIT)
                        for c in cells}
-        self._paths: dict[tuple[str, ...], NormalPath] = {}
+        self._slots: dict[tuple[str, ...], tuple[Triple, APath]] = {}
 
-    def path(self, word: tuple[str, ...], a: str, b: str) -> NormalPath:
-        path = self._paths.get(word)
-        if path is None:
+    def slot(self, word: tuple[str, ...], a: str, b: str
+             ) -> tuple[Triple, APath]:
+        slot = self._slots.get(word)
+        if slot is None:
             path = NormalPath(a, b, tuple(self._units[cid] for cid in word))
-            self._paths[word] = path
-        return path
+            slot = self._slots[word] = ((a, 0, b), APath(path))
+        return slot
 
 
-def _witness_elem(base: Complex, cell: Cell, runs, paths: WitnessPaths,
-                  through: CellPath) -> ReedyElem:
-    """A concrete simplified element realizing the given slot structure:
-    unit-speed passes through the centre of every cell."""
-    triples = []
-    entries = []
-    for run in runs:
-        if run == ("CELL",):
-            triples.append((cell.src, 1, cell.dst))
-            entries.append(through)
-        else:
-            word, a, b = run
-            if not word:
-                continue
-            triples.append((a, 0, b))
-            entries.append(APath(paths.path(word, a, b)))
-    obj = make_obj(cell.src, cell.dst, triples)
-    return make_elem(obj, entries, base)
+def _shapes(base: Complex, cell: Cell, bound: int, paths: WitnessPaths,
+            through: CellPath):
+    """Carrier words of the pushout generated from simplified shapes, each
+    with the slots of its witness element.
+
+    A shape is a0 [cell] a1 [cell] ... [cell] ak where each run a_i is an
+    A-carrier (possibly empty when its endpoints coincide) and no two runs
+    are adjacent.  Shapes are yielded as (word, triples, entries) by their
+    number k of passes: a nonempty run is the slot ``paths`` hands out for
+    its word, an empty run holds no slot, and a pass holds ``through``.
+    """
+    table = base.carrier_table(bound)
+    u, v = cell.src, cell.dst
+    pass_t, pass_e = ((u, 1, v),), (through,)
+
+    def runs(a: str, b: str, budget: int):
+        # every run a -> b within the budget, the empty one included
+        if a == b and budget >= 0:
+            yield (), (), ()
+        for word in table.get((a, b), ()):
+            if len(word) <= budget:
+                triple, entry = paths.slot(word, a, b)
+                yield word, (triple,), (entry,)
+
+    # the shapes cut right after their k-th pass, for k = 0, 1, ...: the
+    # state reached, the budget left, the word and the slots so far
+    ends = [(start, bound, (), (), ()) for start in base.states]
+    while ends:
+        for a, rest, w, t, e in ends:
+            for target in base.states:
+                for last, last_t, last_e in runs(a, target, rest):
+                    if w or last:
+                        yield w + last, t + last_t, e + last_e
+        ends = [(v, rest - len(run) - 1, w + run + (cell.id,),
+                 t + run_t + pass_t, e + run_e + pass_e)
+                for a, rest, w, t, e in ends
+                for run, run_t, run_e in runs(a, u, rest - 1)]
 
 
 def pushout_check(base: Complex, cell: Cell, bound: int) -> dict:
@@ -424,25 +415,30 @@ def pushout_check(base: Complex, cell: Cell, bound: int) -> dict:
 def _check_pushout(base: Complex, pushout: Complex, cell: Cell,
                    bound: int, paths: WitnessPaths) -> dict:
     """:func:`pushout_check` against an already built pushout, with witness
-    slot paths taken from ``paths``, which must know every base cell.
+    slots taken from ``paths``, which must know every base cell.
 
-    Every shape is witnessed: its element is built by ``make_elem`` (which
-    checks each base slot against ``base``), tested with ``is_simplified``
-    and realized in ``pushout`` (which checks each base slot again, against
-    ``pushout``), and its carrier compared with the shape's word."""
-    lhs_pairs = _interleavings(base, cell, bound)
-    lhs = sorted(word for word, _ in lhs_pairs)
-    if len(set(lhs)) != len(lhs):
-        raise EngineError("shape enumeration produced duplicate carriers")
+    The shapes share their slot triples, entries and paths (one per run
+    word, from ``paths``) and one pass through the cell, but every check
+    runs for every witness: its element is built by ``make_obj`` and
+    ``make_elem`` (which checks each base slot against ``base``), tested
+    with ``is_simplified`` and realized in ``pushout`` (which checks each
+    base slot again, against ``pushout``), and its carrier compared with
+    the shape's word."""
     through = CellPath((_ZERO,) * cell.disk_dim, _UNIT)
-    for word, runs in lhs_pairs:
-        elem = _witness_elem(base, cell, runs, paths, through)
+    u, v = cell.src, cell.dst
+    lhs = []
+    for word, triples, entries in _shapes(base, cell, bound, paths, through):
+        elem = make_elem(make_obj(u, v, triples), entries, base)
         if not is_simplified(elem, base, cell):
             raise EngineError(f"witness for {word} is not simplified")
         realized = realize(elem, pushout, cell.id)
         if realized.carrier() != word:
             raise EngineError(
                 f"witness realization carrier {realized.carrier()} != {word}")
+        lhs.append(word)
+    lhs.sort()
+    if len(set(lhs)) != len(lhs):
+        raise EngineError("shape enumeration produced duplicate carriers")
     rhs = sorted(word for words in pushout.carrier_table(bound).values()
                  for word in words)
     return {

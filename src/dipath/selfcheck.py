@@ -1,9 +1,10 @@
 """Sampled invariant suites behind the CLI selftest command.
 
 Each check draws reproducible random instances from a seed, exercises one
-family of algebraic laws, and reports the case count with a pass flag.  The
-rewrite-identity pair generator is also used by the acceptance test suite
-with larger sample sizes.
+family of algebraic laws, and yields whether each case held, with every law
+of every case evaluated.  The report gives each check's case count and pass
+flag and names the first failing case.  The rewrite-identity pair generator
+is also used by the acceptance test suite with larger sample sizes.
 """
 
 from __future__ import annotations
@@ -138,46 +139,39 @@ def identity_pair(rng: Random, cx, spine, kind):
 # sampled suites
 
 
-def check_reparam_laws(rng: Random, cases: int) -> dict:
-    ok = True
+def check_reparam_laws(rng: Random, cases: int):
     for _ in range(cases):
         phi = rand_pl(rng, 1, rng.choice([1, 2, Fraction(1, 2)]))
         psi = rand_pl(rng, phi.dst_len, 1)
         chi = rand_pl(rng, 1, Fraction(3, 2))
-        ok = ok and compose(phi, inverse(phi)) == identity(phi.src_len)
-        ok = ok and (compose(compose(phi, psi), chi)
-                     == compose(phi, compose(psi, chi)))
+        laws = [compose(phi, inverse(phi)) == identity(phi.src_len),
+                (compose(compose(phi, psi), chi)
+                 == compose(phi, compose(psi, chi)))]
         lens = rand_partition(rng, phi.src_len, rng.randrange(1, 4))
-        ok = ok and tensor(*decompose(phi, lens)) == phi
-    return {"name": "reparam_laws", "cases": cases, "ok": ok}
+        yield all(laws + [tensor(*decompose(phi, lens)) == phi])
 
 
-def check_identity_pairs(rng: Random, cases: int) -> dict:
+def check_identity_pairs(rng: Random, cases: int):
     cx = chain_complex(6)
     spine = [f"g{i}" for i in range(1, 7)]
-    ok = True
     for i in range(cases):
         kind = IDENTITY_KINDS[i % len(IDENTITY_KINDS)]
         lhs, rhs = identity_pair(rng, cx, spine, kind)
-        ok = ok and cx.normalize(lhs) == cx.normalize(rhs)
-    return {"name": "normal_form_pairs", "cases": cases, "ok": ok}
+        yield cx.normalize(lhs) == cx.normalize(rhs)
 
 
-def check_rigidity(rng: Random, cases: int) -> dict:
+def check_rigidity(rng: Random, cases: int):
     cx = chain_complex(4)
     spine = [f"g{i}" for i in range(1, 5)]
-    ok = True
     for _ in range(cases):
         hops = sorted(rng.sample(range(5), 2))
         carrier = tuple(spine[hops[0]:hops[1]])
         np = rand_normal_path(rng, cx, carrier, total=1)
         phi = rand_nonidentity_pl(rng)
-        moved = cx.normalize(Repar(np_to_expr(np), phi))
-        ok = ok and moved != np
-    return {"name": "rigidity", "cases": cases, "ok": ok}
+        yield cx.normalize(Repar(np_to_expr(np), phi)) != np
 
 
-def check_elem_normalization(rng: Random, cases: int) -> dict:
+def check_elem_normalization(rng: Random, cases: int):
     from .cellcomplex import Cell, ComplexDesc, Step, validate
     from .reedy import (
         APath,
@@ -197,7 +191,6 @@ def check_elem_normalization(rng: Random, cases: int) -> dict:
     cell = Cell("g", 1, "1", "1",
                 boundary_minus=Step("l", (), identity(1)),
                 boundary_plus=Step("l", (), identity(1)))
-    ok = True
     for _ in range(cases):
         n = rng.randrange(1, 5)
         triples = []
@@ -213,18 +206,28 @@ def check_elem_normalization(rng: Random, cases: int) -> dict:
                 entries.append(APath(rand_normal_path(rng, base, ("l",))))
         elem = make_elem(make_obj("1", "1", triples), entries, base)
         nf = normalize_elem(elem, base, cell)
-        ok = ok and is_simplified(nf, base, cell)
-        ok = ok and normalize_elem(nf, base, cell) == nf
-    return {"name": "elem_normalization", "cases": cases, "ok": ok}
+        yield all([is_simplified(nf, base, cell),
+                   normalize_elem(nf, base, cell) == nf])
+
+
+SUITES = (("reparam_laws", check_reparam_laws, 100),
+          ("normal_form_pairs", check_identity_pairs, 60),
+          ("rigidity", check_rigidity, 40),
+          ("elem_normalization", check_elem_normalization, 30))
 
 
 def selftest_report(seed: int, scale: int = 1) -> dict:
-    checks = [
-        check_reparam_laws(Random(seed), 100 * scale),
-        check_identity_pairs(Random(seed + 1), 60 * scale),
-        check_rigidity(Random(seed + 2), 40 * scale),
-        check_elem_normalization(Random(seed + 3), 30 * scale),
-    ]
-    return {"seed": seed,
-            "checks": checks,
-            "ok": all(c["ok"] for c in checks)}
+    """Every case of every suite, the k-th suite drawing from seed + k.
+    On failure, ``first_failure`` names the first failing suite, its seed
+    and the index of its first failing case, which rerunning the suite on
+    ``Random(seed)`` replays."""
+    report = {"seed": seed, "checks": [], "ok": True}
+    for k, (name, check, cases) in enumerate(SUITES):
+        held = list(check(Random(seed + k), cases * scale))
+        report["checks"].append(
+            {"name": name, "cases": cases * scale, "ok": all(held)})
+        if not all(held) and report["ok"]:
+            report["ok"] = False
+            report["first_failure"] = {"check": name, "seed": seed + k,
+                                       "index": held.index(False)}
+    return report

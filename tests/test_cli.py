@@ -355,6 +355,47 @@ def test_selftest_cli(capsys):
         "elem_normalization"}
 
 
+def test_selftest_reports_its_first_failure(capsys, monkeypatch):
+    # one law fails at a known case: the report names the check, its seed
+    # and the case, and every later case and check still runs
+    from random import Random
+
+    import dipath.selfcheck as sc
+
+    status, out = invoke(capsys, "selftest", "--seed", "3")
+    assert status == 0 and "first_failure" not in json.loads(out)
+    identity, compose = sc.identity, sc.compose
+    calls = {"identity": 0, "compose": 0}
+
+    def bad_identity(length):
+        # check_reparam_laws runs first and asks for one identity per
+        # case: its cases 2 and 5 compare against the wrong one
+        calls["identity"] += 1
+        wrong = calls["identity"] in (3, 6)
+        return identity(2 * length if wrong else length)
+
+    def counted_compose(f, g):
+        calls["compose"] += 1
+        return compose(f, g)
+
+    monkeypatch.setattr(sc, "identity", bad_identity)
+    monkeypatch.setattr(sc, "compose", counted_compose)
+    status, out = invoke(capsys, "selftest", "--seed", "3")
+    assert status == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["first_failure"] == {
+        "check": "reparam_laws", "seed": 3, "index": 2}
+    assert [c["ok"] for c in report["checks"]] == [False, True, True, True]
+    assert calls["identity"] >= 100  # every reparam_laws case ran
+    # replay: the same seed fails at the same case, and each of the ten
+    # cases evaluates all five compositions of its laws
+    calls.update(identity=0, compose=0)
+    held = list(sc.check_reparam_laws(Random(3), 10))
+    assert [i for i, ok in enumerate(held) if not ok] == [2, 5]
+    assert calls["compose"] == 5 * 10
+
+
 def test_text_format(corpus_dir, capsys):
     status, out = invoke(capsys, "--format", "text", "validate",
                          str(corpus_dir / "square.json"))

@@ -1,6 +1,8 @@
 """Source checks: soundness guards must survive ``python -O``."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import dipath
@@ -44,3 +46,23 @@ def test_pl_sweeps_build_no_fraction():
                  or isinstance(node.func, ast.Attribute)
                  and node.func.attr == "Fraction")]
     assert not found, f"Fraction built inside a PL sweep: {found}"
+
+
+def test_every_traced_name_resolves_in_dipath():
+    # bench/spans.py wraps these functions by name; a rename that drops one
+    # would leave its per-layer figures silently at zero
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [(module, attr) for _, module, attr, _ in spans.TRACED]
+    assert names, "bench/spans.py traces nothing"
+    missing = []
+    for module, attr in names + [("rational", "parse_fraction")]:
+        owner = importlib.import_module(f"dipath.{module}")
+        *classes, name = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls, None)
+        if owner is None or not callable(vars(owner).get(name)):
+            missing.append(f"{module}.{attr}")
+    assert not missing, f"traced names missing from dipath: {missing}"

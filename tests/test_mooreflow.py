@@ -279,6 +279,94 @@ def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
             assert nxt["base"] is prev["pushout"]
 
 
+def _poison_slot(monkeypatch, word, bad_seg):
+    """Make every WitnessPaths hand out, for ``word`` only, a slot path
+    whose first segment is replaced by ``bad_seg(seg)``."""
+    import dipath.reedy as reedy
+    from dipath.cellcomplex import NormalPath
+
+    slot = reedy.WitnessPaths.slot
+
+    def poisoned(self, run, a, b):
+        triple, entry = slot(self, run, a, b)
+        if run == word:
+            segs = entry.path.segs
+            entry = reedy.APath(
+                NormalPath(a, b, (bad_seg(segs[0]),) + segs[1:]))
+        return triple, entry
+
+    monkeypatch.setattr(reedy.WitnessPaths, "slot", poisoned)
+
+
+def _steps_until_raise(monkeypatch, cx, bound, error):
+    """The cells of the steps counit_check began before it raised."""
+    import dipath.mooreflow as mf
+
+    began = []
+    check_pushout = mf._check_pushout
+
+    def step_spy(base, pushout, cell, bound, paths):
+        began.append(cell.id)
+        return check_pushout(base, pushout, cell, bound, paths)
+
+    monkeypatch.setattr(mf, "_check_pushout", step_spy)
+    with pytest.raises(error):
+        counit_check(cx, bound)
+    return began
+
+
+def _first_step_using(cx, word):
+    # a run word is a carrier of the base, so it is first used at the step
+    # right after its last cell was attached
+    order = [c.id for c in cx.desc.cells]
+    return max(order.index(cid) for cid in word) + 1
+
+
+@pytest.mark.parametrize("name, word", [("double_globe", ("g1", "e2p")),
+                                        ("stacked_globe", ("g12",))])
+def test_a_bad_shared_slot_point_fails_the_first_step_using_it(
+        monkeypatch, name, word):
+    # the shared slot path is checked by every witness, so a point outside
+    # the disk is caught as soon as a step uses it
+    from dipath.cellcomplex import Seg
+    from dipath.errors import OutOfDomainError
+
+    cx = build(name)
+    _poison_slot(monkeypatch, word,
+                 lambda seg: Seg(seg.cell, (F(2),), seg.chi))
+    began = _steps_until_raise(monkeypatch, cx, 5, OutOfDomainError)
+    step = _first_step_using(cx, word)
+    assert began == [c.id for c in cx.desc.cells[:step + 1]]
+
+
+def test_a_bad_shared_slot_time_law_fails_the_first_step_using_it(
+        monkeypatch):
+    from random import Random
+
+    from dipath.cellcomplex import Complex, Seg
+    from dipath.errors import BadLengthError
+    from dipath.reparam import make_pl
+    from helpers import rand_loopfree_complex
+
+    onto_two = make_pl(1, 2, [(0, 0), (1, 2)])
+    rng = Random(11)
+    for _ in range(4):
+        cx = rand_loopfree_complex(rng)
+        cells = cx.desc.cells
+        base = Complex(cx.states)
+        for cell in cells[:-1]:
+            base = base.extend(cell)
+        words = sorted(w for ws in base.carrier_table(3).values() for w in ws)
+        word = rng.choice(words)
+        with monkeypatch.context() as patch:
+            _poison_slot(patch, word,
+                         lambda seg: Seg(seg.cell, seg.z, onto_two))
+            began = _steps_until_raise(patch, cx, 3, BadLengthError)
+        step = _first_step_using(cx, word)
+        assert began == [c.id for c in cells[:step + 1]]
+        assert counit_check(cx, 3)["ok"]
+
+
 def test_fundamental_category_oracle_on_random_complexes():
     from random import Random
 

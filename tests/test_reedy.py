@@ -11,11 +11,15 @@ from dipath.cellcomplex import (
     NormalPath,
     NormComp,
     Seg,
+    Step,
     repar_normal,
     validate,
 )
 from dipath.errors import (
+    BadInputError,
+    BadLengthError,
     ComplexMismatchError,
+    EndpointMismatchError,
     EngineError,
     NoBoundaryDataError,
     NotComposableHereError,
@@ -39,7 +43,7 @@ from dipath.reedy import (
     pushout_complex,
     realize,
 )
-from dipath.reparam import mu
+from dipath.reparam import make_pl, mu
 from dipath.sampling import rand_pl
 from fixture_lib import chain_desc, edge, estep, globe, loop_heavy_desc, segment_desc
 from helpers import (
@@ -423,3 +427,45 @@ def test_elem_json_roundtrip():
     e = rand_reedy_elem(rng, cx, loop_cell(), max_entries=3)
     data = elem_to_json(e)
     assert elem_from_json(data, cx) == e
+
+
+# ---------------------------------------------------------------------------
+# guards on the integer fast paths
+
+
+def test_time_laws_must_land_exactly_on_the_unit_interval():
+    # check_normal_path, make_elem and Complex.normalize read a time law's
+    # reduced integer end point: [0, 2] and [0, 1/2] are refused, and a
+    # map built onto 2/2 lands on 1
+    cx = validate(segment_desc())
+    flag1 = make_obj("0", "1", [("0", 1, "1")])
+    for dst in (2, F(1, 2)):
+        chi = make_pl(1, dst, [(0, 0), (1, dst)])
+        with pytest.raises(BadLengthError):
+            cx.check_normal_path(NormalPath("0", "1", (Seg("e", (), chi),)))
+        with pytest.raises(BadLengthError):
+            cx.normalize(Step("e", (), chi))
+        with pytest.raises(BadLengthError):
+            make_elem(flag1, [CellPath((F(0),), chi)], cx)
+    chi = make_pl(1, F(2, 2), [(0, 0), (1, F(2, 2))])
+    path = NormalPath("0", "1", (Seg("e", (), chi),))
+    assert cx.check_normal_path(path) is path
+    assert cx.normalize(Step("e", (), chi)) == path
+    assert make_elem(flag1, [CellPath((F(0),), chi)], cx).entries[0].chi == chi
+
+
+def test_make_obj_reports_conversion_then_chain_then_flag():
+    # every triple is converted before the chain is checked, and the chain
+    # before the flags
+    with pytest.raises(BadInputError) as info:
+        make_obj("u", "v", [("a", 0, "b"), ("x", True, "y")])
+    assert info.type is BadInputError
+    with pytest.raises(EndpointMismatchError):
+        make_obj("u", "v", [("a", 5, "b"), ("x", 0, "y")])
+    with pytest.raises(WrongEndpointsError):
+        make_obj("u", "v", [("a", 1, "b"), ("b", 7, "c")])
+    with pytest.raises(BadInputError) as info:
+        make_obj("u", "v", [("a", 7, "b"), ("b", 1, "c")])
+    assert info.type is BadInputError
+    assert make_obj("u", "v", [("u", 1, "v"), ("v", 0, "w")]).triples == (
+        ("u", 1, "v"), ("v", 0, "w"))

@@ -69,7 +69,6 @@ from .reparam import (
     PLHomeo,
     compose,
     decompose,
-    equals,
     identity,
     inverse,
     make_pl,
@@ -97,6 +96,6 @@ __all__ = [
     "apply_composition", "apply_inclusion", "degree", "make_elem",
     "make_obj", "normalize_elem", "pushout_check", "pushout_complex",
     "realize",
-    "PLHomeo", "compose", "decompose", "equals", "identity", "inverse",
+    "PLHomeo", "compose", "decompose", "identity", "inverse",
     "make_pl", "mu", "pl_eval", "pl_eval_inv", "split", "tensor",
 ]

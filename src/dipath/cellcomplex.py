@@ -143,11 +143,6 @@ def _sq_norm_terms(z: tuple[Fraction, ...]) -> tuple[int, int]:
     return num, den
 
 
-def sq_norm(z: tuple[Fraction, ...]) -> Fraction:
-    """The squared Euclidean norm of a rational point, one Fraction built."""
-    return Fraction(*_sq_norm_terms(z))
-
-
 def disk_side(z: tuple[Fraction, ...]) -> int:
     """-1, 0 or 1 as the point lies inside, on or outside the unit sphere:
     the sign of |z|^2 - 1, decided on integers with no Fraction built."""
@@ -215,8 +210,9 @@ class Complex:
     complex is immutable: assigning or deleting an attribute raises, and the
     tables a child copies from its parent are never written after
     construction.  What changes is cached, and describes this complex
-    alone: ``desc`` and ``loop_free``, computed on first read, the carrier
-    tables, one per bound, and the memo of accepted paths (see
+    alone: ``desc`` and ``topological_order`` (None when the cells form a
+    directed cycle; ``loop_free`` reads it), computed on first read, the
+    carrier tables, one per bound, and the memo of accepted paths (see
     :meth:`check_normal_path`).
     """
 
@@ -255,21 +251,27 @@ class Complex:
         return ComplexDesc(self.states, tuple(self._cells.values()))
 
     @cached_property
-    def loop_free(self) -> bool:
-        """Whether no directed cycle of cells exists (Kahn's algorithm)."""
+    def topological_order(self) -> Optional[tuple[str, ...]]:
+        """The states ordered so that every cell runs forward (Kahn's
+        algorithm), or None when a directed cycle of cells exists."""
         indeg = {s: 0 for s in self.states}
         for cell in self._cells.values():
             indeg[cell.dst] += 1
         queue = [s for s in self.states if indeg[s] == 0]
-        seen = 0
+        order = []
         while queue:
             s = queue.pop()
-            seen += 1
+            order.append(s)
             for cell in self._arcs[s]:
                 indeg[cell.dst] -= 1
                 if indeg[cell.dst] == 0:
                     queue.append(cell.dst)
-        return seen == len(self.states)
+        return tuple(order) if len(order) == len(self.states) else None
+
+    @property
+    def loop_free(self) -> bool:
+        """Whether no directed cycle of cells exists."""
+        return self.topological_order is not None
 
     def extend(self, cell: Cell) -> "Complex":
         """This complex with ``cell`` attached last.
@@ -398,42 +400,8 @@ class Complex:
         boundary = minus if step.z[0] < 0 else plus
         return repar_normal(boundary, step.chi)
 
-    # -- composition operations
-
-    def moore_compose(self, p: PathExpr, q: PathExpr) -> PathExpr:
-        left = self.normalize(p)
-        right = self.normalize(q)
-        if left.end != right.start:
-            raise EndpointMismatchError(
-                f"cannot concatenate: {left.end} != {right.start}")
-        return Moore(p, q)
-
-    def normalized_compose(self, p: PathExpr, q: PathExpr) -> PathExpr:
-        left = self.normalize(p)
-        right = self.normalize(q)
-        for side in (left, right):
-            if side.total_len != 1:
-                raise BadLengthError(
-                    "normalized concatenation needs length-1 operands, "
-                    f"got {side.total_len}")
-        if left.end != right.start:
-            raise EndpointMismatchError(
-                f"cannot concatenate: {left.end} != {right.start}")
-        return NormComp(p, q)
-
-    def reparametrize_path(self, p: PathExpr, phi: PLHomeo) -> PathExpr:
-        length = self.normalize(p).total_len
-        if phi.dst_len != length:
-            raise LengthMismatchError(
-                f"phi lands in [0,{phi.dst_len}] but the path runs on "
-                f"[0,{length}]")
-        return Repar(p, phi)
-
     def carrier(self, p: PathExpr) -> tuple[str, ...]:
         return self.normalize(p).carrier()
-
-    def is_minimal(self, p: PathExpr) -> bool:
-        return len(self.normalize(p).segs) == 1
 
     # -- pointwise evaluation
 

@@ -13,6 +13,8 @@ import json
 import sys
 
 from .cellcomplex import (
+    Moore,
+    NormComp,
     complex_from_json,
     expr_from_json,
     normal_path_to_json,
@@ -107,11 +109,8 @@ def _cmd_compose(args) -> tuple[dict, int]:
     cx = _load_complex(args.complex)
     left = expr_from_json(_load_json(args.left))
     right = expr_from_json(_load_json(args.right))
-    if args.normalized:
-        expr = cx.normalized_compose(left, right)
-    else:
-        expr = cx.moore_compose(left, right)
-    return normal_path_to_json(cx.normalize(expr)), 0
+    glue = NormComp if args.normalized else Moore
+    return normal_path_to_json(cx.normalize(glue(left, right))), 0
 
 
 def _cmd_carriers(args) -> tuple[dict, int]:

@@ -5,8 +5,9 @@ here at presentation level: path spaces are described by carrier strata,
 chains of globes contribute a single stratum, a globe of a free space comes
 back unchanged from the geometric round trip, and the fundamental category
 of a loop-free two-dimensional complex is computed as edge words modulo the
-congruence generated by globe boundaries (closed under composition via
-union-find).
+congruence generated by globe boundaries, in one pass over a topological
+order of the states: the classes between two states come from the classes
+one edge shorter, so no hom's words are ever listed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from fractions import Fraction
 from .cellcomplex import Cell, Complex, ComplexDesc, validate
 from .errors import (
     BadInputError,
-    EngineError,
     HasLoopsError,
 )
 from .gspace import FreeGSpace, free, pair_label
@@ -168,30 +168,6 @@ class FlowPresentation:
         return {"objects": list(self.objects), "homs": homs, "comp": comp}
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self._parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self._parent[max(rx, ry)] = min(rx, ry)
-
-    def classes(self):
-        groups: dict = {}
-        for x in self._parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return [sorted(g) for g in sorted(groups.values())]
-
-
 def _flatten_to_edges(cx: Complex, cid: str, memo: dict) -> Word:
     """Replace a cell by its edge word, resolving globes through their lower
     boundary (the two boundaries end up congruent anyway)."""
@@ -208,72 +184,94 @@ def _flatten_to_edges(cx: Complex, cid: str, memo: dict) -> Word:
     return word
 
 
-def fundamental_category_full(cx: Complex):
-    """The flow presentation plus the full word-to-class tables.
+def _root(parent: list[int], n: int) -> int:
+    """The root of n in a union-find forest, halving its path."""
+    while parent[n] != n:
+        parent[n] = parent[parent[n]]
+        n = parent[n]
+    return n
 
-    Edge words between each pair of states are identified by the congruence
-    generated, for every globe, by its two boundary edge words; the closure
-    under left and right composition comes from replacing occurrences inside
-    longer words.  The relation sides are indexed by length, so each word
-    slides one window per side length.
-    """
-    if not cx.loop_free:
-        raise HasLoopsError("fundamental category needs a loop-free complex")
-    edges = tuple(c for c in cx.desc.cells if c.disk_dim == 0)
-    skeleton = validate(ComplexDesc(cx.desc.states, edges))
-    memo: dict = {}
-    # side length -> side -> the words it may be replaced by
-    rewrites: dict[int, dict[Word, list[Word]]] = {}
-    for cell in cx.desc.cells:
-        if cell.disk_dim != 1:
-            continue
-        minus, plus = cx.boundary_normal(cell.id)
-        lhs = tuple(x for c in minus.carrier()
-                    for x in _flatten_to_edges(cx, c, memo))
-        rhs = tuple(x for c in plus.carrier()
-                    for x in _flatten_to_edges(cx, c, memo))
-        if lhs != rhs:
-            for sub, rep in ((lhs, rhs), (rhs, lhs)):
-                by_side = rewrites.setdefault(len(sub), {})
-                by_side.setdefault(sub, []).append(rep)
 
-    class_of: dict[tuple[str, str], dict[Word, int]] = {}
-    homs: dict[tuple[str, str], tuple[Word, ...]] = {}
-    for pair, ws in skeleton.carrier_table().items():
-        uf = _UnionFind(ws)
-        wset = set(ws)
-        for w in ws:
-            for k, by_side in rewrites.items():
-                for i in range(len(w) - k + 1):
-                    for rep in by_side.get(w[i:i + k], ()):
-                        w2 = w[:i] + rep + w[i + k:]
-                        if w2 not in wset:
-                            raise EngineError(
-                                f"congruence left the word set at {w2}")
-                        uf.union(w, w2)
-        groups = uf.classes()
-        reps = tuple(g[0] for g in groups)
-        homs[pair] = reps
-        table = {}
-        for idx, g in enumerate(groups):
-            for w in g:
-                table[w] = idx
-        class_of[pair] = table
-
-    comp: dict[tuple[str, str, str], tuple[tuple[int, ...], ...]] = {}
-    for (a, b), left_reps in homs.items():
-        for (b2, c), right_reps in homs.items():
-            if b2 != b or (a, c) not in homs:
-                continue
-            rows = tuple(
-                tuple(class_of[(a, c)][u + v] for v in right_reps)
-                for u in left_reps)
-            comp[(a, b, c)] = rows
-    return FlowPresentation(cx.states, homs, comp), class_of
+def _fold(step: dict, k: int, word: Word) -> tuple[int, str]:
+    """Read ``word`` on from class k through the step table, stopping before
+    its last edge: the pair (class reached, last edge) it ends on."""
+    for e in word[:-1]:
+        k = step[(k, e)]
+    return k, word[-1]
 
 
 def fundamental_category(cx: Complex) -> FlowPresentation:
-    return fundamental_category_full(cx)[0]
+    """Edge words between states modulo the congruence generated, for every
+    globe, by its two boundary edge words; each class is represented by its
+    least word, and the classes of a hom are sorted by it.
+
+    The states are visited in topological order.  The congruence is
+    compatible with composition, and a replacement inside ``w·e`` either
+    lies inside ``w`` or ends at the target c of ``e``.  So the classes of
+    hom(a, c) are the pairs (class of hom(a, b), edge b→c), merged by the
+    relations that end at c, each applied once per class of its prefix.  No
+    word a→b of a loop-free complex is a proper prefix of another, so the
+    least word of a pair is its class's least word followed by the edge.
+    ``comp`` is filled in topological order from each representative's
+    pair: the composite of u with v·e is the composite of u with v, then e.
+    """
+    order = cx.topological_order
+    if order is None:
+        raise HasLoopsError("fundamental category needs a loop-free complex")
+    into: dict[str, list[Cell]] = {s: [] for s in order}
+    # target state -> (source state, lhs, rhs) of each relation
+    relations: dict[str, list[tuple[str, Word, Word]]] = {s: [] for s in order}
+    memo: dict = {}
+    for cell in cx.desc.cells:
+        if cell.disk_dim == 0:
+            into[cell.dst].append(cell)
+            continue
+        lhs, rhs = (tuple(x for c in side.carrier()
+                          for x in _flatten_to_edges(cx, c, memo))
+                    for side in cx.boundary_normal(cell.id))
+        if lhs != rhs:
+            relations[cell.dst].append((cell.src, lhs, rhs))
+
+    homs: dict[tuple[str, str], tuple[Word, ...]] = {}
+    # (a, c) -> the pair (b, k, e) of each class's least word
+    last: dict[tuple[str, str], tuple[tuple[str, int, str], ...]] = {}
+    # a -> (class k of hom(a, b), edge e out of b) -> class of hom(a, e.dst)
+    steps: dict[str, dict[tuple[int, str], int]] = {}
+    for i, a in enumerate(order):
+        reps: dict[str, tuple[Word, ...]] = {a: ((),)}
+        step = steps[a] = {}
+        for c in order[i + 1:]:
+            pairs = [(w + (e.id,), e.src, k, e.id) for e in into[c]
+                     for k, w in enumerate(reps.get(e.src, ()))]
+            if not pairs:
+                continue
+            index = {(k, e): n for n, (_, _, k, e) in enumerate(pairs)}
+            parent = list(range(len(pairs)))
+            for s, lhs, rhs in relations[c]:
+                for k in range(len(reps.get(s, ()))):
+                    x, y = (_root(parent, index[_fold(step, k, side)])
+                            for side in (lhs, rhs))
+                    parent[x] = y
+            groups: dict[int, list] = {}
+            for n, pair in enumerate(pairs):
+                groups.setdefault(_root(parent, n), []).append(pair)
+            ranked = sorted(sorted(g) for g in groups.values())
+            for j, group in enumerate(ranked):
+                for _, _, k, e in group:
+                    step[(k, e)] = j
+            reps[c] = homs[(a, c)] = tuple(g[0][0] for g in ranked)
+            last[(a, c)] = tuple(g[0][1:] for g in ranked)
+
+    comp: dict[tuple[str, str, str], tuple[tuple[int, ...], ...]] = {}
+    for (a, b), left in homs.items():
+        step = steps[a]
+        for c in order:
+            if (b, c) in last:
+                comp[(a, b, c)] = tuple(
+                    tuple(step[(i if b2 == b else comp[(a, b, b2)][i][k], e)]
+                          for b2, k, e in last[(b, c)])
+                    for i in range(len(left)))
+    return FlowPresentation(cx.states, homs, comp)
 
 
 def flow_of_gflow(objects, homs: dict[tuple[str, str], FreeGSpace]

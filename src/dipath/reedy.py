@@ -225,7 +225,7 @@ def _boundary_path(base: Complex, cell: Cell,
         f"cell point {z}")
 
 
-def _demotions(elem: ReedyElem, base: Complex, cell: Cell):
+def _demotions(elem: ReedyElem, cell: Cell):
     """The demotable slots, in order; a wrong-arity cell point raises."""
     for i, entry in enumerate(elem.entries):
         if isinstance(entry, InjPath):
@@ -268,14 +268,14 @@ def rewrite_steps(elem: ReedyElem, base: Complex, cell: Cell) -> list[ReedyElem]
     # the whole scan first: a wrong-arity cell point raises before any
     # demotion runs
     out.extend(_demote(elem, i, base, cell)
-               for i in list(_demotions(elem, base, cell)))
+               for i in list(_demotions(elem, cell)))
     return out
 
 
 def is_simplified(elem: ReedyElem, base: Complex, cell: Cell) -> bool:
     """Whether no rule applies; the scan stops at the first that does."""
     return (next(_merges(elem), None) is None
-            and next(_demotions(elem, base, cell), None) is None)
+            and next(_demotions(elem, cell), None) is None)
 
 
 def normalize_elem(elem: ReedyElem, base: Complex, cell: Cell) -> ReedyElem:
@@ -293,7 +293,7 @@ def normalize_elem(elem: ReedyElem, base: Complex, cell: Cell) -> ReedyElem:
         if merge is not None:
             nxt = apply_composition(current, merge)
         else:
-            demotions = list(_demotions(current, base, cell))
+            demotions = list(_demotions(current, cell))
             if not demotions:
                 return current
             nxt = _demote(current, demotions[0], base, cell)

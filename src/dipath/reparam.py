@@ -262,11 +262,6 @@ def split(phi: PLHomeo, dst_lengths: Sequence) -> tuple[PLHomeo, ...]:
     return _blocks(phi, dst_lengths, 2)
 
 
-def equals(phi: PLHomeo, psi: PLHomeo) -> bool:
-    """Structural equality of canonical forms, i.e. pointwise equality."""
-    return phi == psi
-
-
 def pl_from_json(data) -> PLHomeo:
     try:
         src = parse_fraction(data["src"])

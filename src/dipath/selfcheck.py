@@ -10,6 +10,7 @@ is also used by the acceptance test suite with larger sample sizes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from random import Random
 
 from .cellcomplex import Moore, NormComp, Repar, np_to_expr
@@ -41,20 +42,6 @@ IDENTITY_KINDS = (
 )
 
 
-def _moore_chain(exprs):
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = Moore(out, e)
-    return out
-
-
-def _normcomp_chain(exprs):
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = NormComp(out, e)
-    return out
-
-
 def _scaled(expr, length):
     return Repar(expr, mu(length))
 
@@ -77,28 +64,28 @@ def identity_pair(rng: Random, cx, spine, kind):
         src_lens = rand_partition(rng, rng.choice([1, 2]), n)
         dst_lens = rand_partition(rng, rng.choice([1, Fraction(1, 2)]), n)
         phis = [rand_pl(rng, a, b) for a, b in zip(src_lens, dst_lens)]
-        chain = _moore_chain([_scaled(g, ell)
-                              for g, ell in zip(gammas, dst_lens)])
+        chain = reduce(Moore, [_scaled(g, ell)
+                               for g, ell in zip(gammas, dst_lens)])
         lhs = Repar(chain, tensor(*phis))
-        rhs = _moore_chain([Repar(_scaled(g, ell), phi)
-                            for g, ell, phi in zip(gammas, dst_lens, phis)])
+        rhs = reduce(Moore, [Repar(_scaled(g, ell), phi)
+                             for g, ell, phi in zip(gammas, dst_lens, phis)])
         return lhs, rhs
     if kind == "rescale":
         n = rng.randrange(1, 5)
         gammas = rand_composable_unit_paths(rng, cx, spine, n)
         lens = rand_partition(rng, 1, n)
         ell = rng.choice([Fraction(1, 2), Fraction(2), Fraction(3, 4)])
-        chain = _moore_chain([_scaled(g, l) for g, l in zip(gammas, lens)])
+        chain = reduce(Moore, [_scaled(g, l) for g, l in zip(gammas, lens)])
         lhs = Repar(chain, mu(ell))
-        rhs = _moore_chain([_scaled(g, l * ell)
-                            for g, l in zip(gammas, lens)])
+        rhs = reduce(Moore, [_scaled(g, l * ell)
+                             for g, l in zip(gammas, lens)])
         return lhs, rhs
     if kind == "normcomp_expand":
         n = rng.randrange(2, 7)
         gammas = rand_composable_unit_paths(rng, cx, spine, n)
-        lhs = _normcomp_chain(gammas)
-        rhs = _moore_chain([_scaled(g, d)
-                            for g, d in zip(gammas, _dyadic(n))])
+        lhs = reduce(NormComp, gammas)
+        rhs = reduce(Moore, [_scaled(g, d)
+                             for g, d in zip(gammas, _dyadic(n))])
         return lhs, rhs
     if kind == "normcomp_repar":
         n = rng.randrange(2, 7)
@@ -106,9 +93,9 @@ def identity_pair(rng: Random, cx, spine, kind):
         phi = rand_pl(rng, 1, 1)
         dyadic = _dyadic(n)
         phis = split(phi, dyadic)
-        lhs = Repar(_normcomp_chain(gammas), phi)
-        rhs = _moore_chain([Repar(_scaled(g, d), p)
-                            for g, d, p in zip(gammas, dyadic, phis)])
+        lhs = Repar(reduce(NormComp, gammas), phi)
+        rhs = reduce(Moore, [Repar(_scaled(g, d), p)
+                             for g, d, p in zip(gammas, dyadic, phis)])
         return lhs, rhs
     if kind == "chain_to_normcomp":
         n = rng.randrange(2, 7)
@@ -116,9 +103,9 @@ def identity_pair(rng: Random, cx, spine, kind):
         lens = rand_partition(rng, 1, n)
         dyadic = _dyadic(n)
         phis = [rand_pl(rng, d, l) for d, l in zip(dyadic, lens)]
-        chain = _moore_chain([_scaled(g, l) for g, l in zip(gammas, lens)])
+        chain = reduce(Moore, [_scaled(g, l) for g, l in zip(gammas, lens)])
         lhs = Repar(chain, tensor(*phis))
-        rhs = _normcomp_chain([
+        rhs = reduce(NormComp, [
             Repar(g, compose(compose(inverse(mu(d)), p), mu(l)))
             for g, d, l, p in zip(gammas, dyadic, lens, phis)])
         return lhs, rhs

@@ -79,20 +79,6 @@ def rand_times(rng: Random, total, k):
     return [rand_fraction(rng, 0, total) for _ in range(k)]
 
 
-def left_nested_normcomp(exprs):
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = NormComp(out, e)
-    return out
-
-
-def moore_chain(exprs):
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = Moore(out, e)
-    return out
-
-
 def scaled(expr, length):
     """The expression rescaled from length 1 onto [0, length]."""
     return Repar(expr, mu(length))

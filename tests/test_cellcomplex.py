@@ -1,6 +1,7 @@
 """Tests for complex validation, normalization and carrier enumeration."""
 
 from fractions import Fraction as F
+from functools import reduce
 from random import Random
 
 import pytest
@@ -16,6 +17,7 @@ from dipath.cellcomplex import (
     Repar,
     Seg,
     Step,
+    _sq_norm_terms,
     complex_from_json,
     complex_to_json,
     disk_side,
@@ -24,7 +26,6 @@ from dipath.cellcomplex import (
     normal_path_from_json,
     normal_path_to_json,
     np_to_expr,
-    sq_norm,
     validate,
 )
 from dipath.errors import (
@@ -55,7 +56,6 @@ from fixture_lib import (
 )
 from helpers import (
     chain_carriers,
-    moore_chain,
     oracle_eval,
     rand_composable_unit_paths,
     rand_normal_path,
@@ -145,7 +145,6 @@ def test_single_interior_step_is_minimal():
     cx = build("square")
     nf = cx.normalize(gstep("sq", F(1, 3)))
     assert len(nf.segs) == 1
-    assert cx.is_minimal(gstep("sq", F(1, 3)))
 
 
 def test_moore_associativity_up_to_normal_form():
@@ -180,13 +179,13 @@ def test_moore_endpoint_mismatch():
     with pytest.raises(EndpointMismatchError):
         cx.normalize(Moore(estep("e1"), estep("e1")))
     with pytest.raises(EndpointMismatchError):
-        cx.moore_compose(estep("e1"), estep("e3"))
+        cx.normalize(Moore(estep("e1"), estep("e3")))
 
 
 def test_normalized_compose_requires_unit_lengths():
     cx = build("chain3")
     with pytest.raises(BadLengthError):
-        cx.normalized_compose(scaled(estep("e1"), 2), estep("e2"))
+        cx.normalize(NormComp(scaled(estep("e1"), 2), estep("e2")))
 
 
 def test_normalized_compose_first_half_speed_doubles():
@@ -233,8 +232,8 @@ def test_reparametrize_by_identity_is_neutral():
 def test_reparametrize_length_mismatch():
     cx = build("segment")
     with pytest.raises(LengthMismatchError):
-        cx.reparametrize_path(estep("e"), inverse(mu(2)))
-    assert cx.normalize(cx.reparametrize_path(estep("e"), mu(2))).total_len == 2
+        cx.normalize(Repar(estep("e"), inverse(mu(2))))
+    assert cx.normalize(Repar(estep("e"), mu(2))).total_len == 2
 
 
 def test_rescaling_distributes_over_segments():
@@ -261,10 +260,10 @@ def test_block_reparametrization_on_three_chain():
     dyadic = [F(1, 4), F(1, 4), F(1, 2)]
     phis = [rand_pl(rng, d, l) for d, l in zip(dyadic, lens)]
     phi = tensor(*phis)
-    chain = moore_chain([scaled(x, l) for x, l in zip(g, lens)])
+    chain = reduce(Moore, [scaled(x, l) for x, l in zip(g, lens)])
     lhs = Repar(chain, phi)
-    rhs = moore_chain(
-        [Repar(scaled(x, l), p) for x, l, p in zip(g, lens, phis)])
+    rhs = reduce(
+        Moore, [Repar(scaled(x, l), p) for x, l, p in zip(g, lens, phis)])
     assert cx.normalize(lhs) == cx.normalize(rhs)
 
 
@@ -320,10 +319,10 @@ def test_carrier_examples():
 
 def test_is_minimal_examples():
     cx = build("square")
-    assert cx.is_minimal(estep("a"))
-    assert not cx.is_minimal(NormComp(estep("a"), estep("b")))
-    assert not cx.is_minimal(Step("sq", (F(1),), identity(1)))
-    assert cx.is_minimal(gstep("sq", F(0)))
+    assert len(cx.normalize(estep("a")).segs) == 1
+    assert len(cx.normalize(NormComp(estep("a"), estep("b"))).segs) != 1
+    assert len(cx.normalize(Step("sq", (F(1),), identity(1))).segs) != 1
+    assert len(cx.normalize(gstep("sq", F(0))).segs) == 1
 
 
 def test_eval_path_examples():
@@ -555,7 +554,7 @@ def test_three_chain_block_rescaling_to_normalized_form():
     lens = rand_partition(rng, 1, 3)
     dyadic = [F(1, 4), F(1, 4), F(1, 2)]
     phis = [rand_pl(rng, d, l) for d, l in zip(dyadic, lens)]
-    chain = moore_chain([scaled(x, l) for x, l in zip(g, lens)])
+    chain = reduce(Moore, [scaled(x, l) for x, l in zip(g, lens)])
     lhs = Repar(chain, tensor(*phis))
     rhs = NormComp(NormComp(
         Repar(g[0], pl_compose(pl_compose(inverse(mu(F(1, 4))), phis[0]),
@@ -698,10 +697,35 @@ def test_extend_tracks_loops():
         edge("w", "a", "c")).loop_free
 
 
+def test_topological_order_runs_every_cell_forward():
+    from helpers import rand_loopfree_complex
+
+    rng = Random(9)
+    descs = list(CORPUS.values()) + [rand_loopfree_complex(rng).desc
+                                     for _ in range(12)]
+    for _ in range(40):
+        # edges between random states, loops and repeated arcs allowed
+        states = tuple(f"v{i}" for i in range(rng.randrange(1, 6)))
+        descs.append(ComplexDesc(states, tuple(
+            edge(f"e{j}", rng.choice(states), rng.choice(states))
+            for j in range(rng.randrange(0, 7)))))
+    seen = set()
+    for desc in descs:
+        order = validate(desc).topological_order
+        seen.add(order is None)
+        assert (order is not None) == kahn_loop_free(desc)
+        if order is not None:
+            assert sorted(order) == sorted(desc.states)
+            rank = {s: i for i, s in enumerate(order)}
+            assert all(rank[c.src] < rank[c.dst] for c in desc.cells)
+    assert seen == {True, False}
+
+
 def test_complex_is_immutable():
     cx = build("square")
-    for name in ("desc", "states", "loop_free", "_cells", "_boundaries",
-                 "_arcs", "_carrier_tables", "_verified", "fresh"):
+    for name in ("desc", "states", "loop_free", "topological_order", "_cells",
+                 "_boundaries", "_arcs", "_carrier_tables", "_verified",
+                 "fresh"):
         with pytest.raises(AttributeError):
             setattr(cx, name, None)
     with pytest.raises(AttributeError):
@@ -798,7 +822,7 @@ def test_memo_entries_die_with_their_paths():
 
 
 # ---------------------------------------------------------------------------
-# sq_norm against the Fraction formula
+# the squared norm on integers against the Fraction formula
 
 coords = st.one_of(
     st.builds(F, st.integers(-60, 60), st.integers(1, 40)),
@@ -809,7 +833,7 @@ coords = st.one_of(
 @given(st.lists(coords, max_size=5))
 def test_sq_norm_matches_the_fraction_formula(z):
     want = sum((F(zi) * F(zi) for zi in z), F(0))
-    got = sq_norm(tuple(z))
+    got = F(*_sq_norm_terms(tuple(z)))
     assert type(got) is F and got == want
 
 

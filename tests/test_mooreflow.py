@@ -2,12 +2,16 @@
 
 The congruence oracle here recomputes fundamental-category classes by plain
 breadth-first search over single-rewrite moves on explicitly enumerated edge
-words, independently of the union-find implementation under test.
+words, independently of the topological induction under test, which never
+lists the words of a hom.
 """
 
 from fractions import Fraction as F
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dipath.cellcomplex import Cell, ComplexDesc, NormComp, validate
 from dipath.errors import (
@@ -25,7 +29,6 @@ from dipath.mooreflow import (
     counit_check,
     flow_of_gflow,
     fundamental_category,
-    fundamental_category_full,
     globe_paths,
     globe_roundtrip,
     make_stratum,
@@ -34,6 +37,7 @@ from dipath.mooreflow import (
 )
 from dipath.reedy import pushout_check
 from fixture_lib import CORPUS, build, chain_desc, edge, estep, globe
+from helpers import rand_loopfree_complex
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +116,35 @@ def oracle_classes(words, relations):
 def oracle_hom_count(cx, src, dst):
     words = oracle_edge_words(cx, src, dst)
     return len(oracle_classes(words, oracle_relations(cx)))
+
+
+def oracle_homs(cx):
+    """(a, b) -> the oracle classes of its edge words, for every pair of
+    states with at least one word."""
+    relations = oracle_relations(cx)
+    homs = {}
+    for a in cx.states:
+        for b in cx.states:
+            comps = oracle_classes(oracle_edge_words(cx, a, b), relations)
+            if comps:
+                homs[(a, b)] = comps
+    return homs
+
+
+def oracle_class_of(cx):
+    """(a, b) -> edge word -> the index of its oracle class, the classes
+    sorted by least word as the engine sorts its representatives."""
+    return {pair: {w: idx for idx, comp in enumerate(comps) for w in comp}
+            for pair, comps in oracle_homs(cx).items()}
+
+
+def assert_comp_matches_oracle(fp, class_of):
+    """Every entry of every composition table is the oracle class of u + v,
+    for all words u of its row class and v of its column class."""
+    for (a, b, c), table in fp.comp.items():
+        for u, iu in class_of[(a, b)].items():
+            for v, iv in class_of[(b, c)].items():
+                assert class_of[(a, c)][u + v] == table[iu][iv]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +443,7 @@ def test_fundamental_category_matches_oracle_everywhere():
     for name in ["square", "square_open", "grid21", "double_globe",
                  "triangle", "diamond", "stacked_globe"]:
         cx = build(name)
-        fp, class_of = fundamental_category_full(cx)
+        fp = fundamental_category(cx)
         for a in cx.states:
             for b in cx.states:
                 words = oracle_edge_words(cx, a, b)
@@ -425,7 +458,7 @@ def test_fundamental_category_matches_oracle_everywhere():
 def test_relation_sides_of_different_lengths():
     # The relations have sides of lengths 1 and 2 (g: e ~ f.h), 1 and 1
     # (k: f2 ~ f) and 2 and 2 (q: h.x ~ h.y); they must also act inside
-    # longer words, so windows of every side length slide over each word.
+    # longer words, which every composite checked against the oracle shows.
     cx = validate(ComplexDesc(("a", "b", "c", "d"), (
         edge("e", "a", "c"),
         edge("f", "a", "b"),
@@ -438,16 +471,14 @@ def test_relation_sides_of_different_lengths():
         globe("q", "b", "d", NormComp(estep("h"), estep("x")),
               NormComp(estep("h"), estep("y"))),
     )))
-    fp, class_of = fundamental_category_full(cx)
+    fp = fundamental_category(cx)
     relations = oracle_relations(cx)
     assert [tuple(map(len, r)) for r in relations] == [(1, 2), (1, 1), (2, 2)]
     for a in cx.states:
         for b in cx.states:
             comps = oracle_classes(oracle_edge_words(cx, a, b), relations)
             assert fp.hom(a, b) == tuple(c[0] for c in comps)
-            for idx, comp in enumerate(comps):
-                for w in comp:
-                    assert class_of[(a, b)][w] == idx
+    assert_comp_matches_oracle(fp, oracle_class_of(cx))
     assert fp.hom("a", "c") == (("e",),)
     assert fp.hom("a", "d") == (("e", "x"),)
     assert fp.hom("b", "d") == (("h", "x"),)
@@ -467,16 +498,13 @@ def test_no_two_cells_means_classes_are_carriers():
 def test_composition_well_defined():
     for name in ["square", "grid21", "double_globe", "triangle"]:
         cx = build(name)
-        fp, class_of = fundamental_category_full(cx)
-        for (a, b, c), table in fp.comp.items():
-            for u, iu in class_of[(a, b)].items():
-                for v, iv in class_of[(b, c)].items():
-                    assert class_of[(a, c)][u + v] == table[iu][iv]
+        fp = fundamental_category(cx)
+        assert_comp_matches_oracle(fp, oracle_class_of(cx))
 
 
 def test_composition_table_associative():
     for name in ["grid21", "double_globe", "chain3"]:
-        fp, class_of = fundamental_category_full(build(name))
+        fp = fundamental_category(build(name))
         for (a, b, c), left_table in fp.comp.items():
             for (b2, c2, d), right_table in fp.comp.items():
                 if (b2, c2) != (b, c) or (a, c, d) not in fp.comp:
@@ -490,11 +518,26 @@ def test_composition_table_associative():
 
 
 def test_composition_table_triangle():
-    fp, class_of = fundamental_category_full(build("triangle"))
+    fp = fundamental_category(build("triangle"))
     table = fp.comp[("al", "be", "ga")]
     # a . b lands in the class of e, which is the sole al -> ga class.
     assert table == ((0,),)
     assert len(fp.hom("al", "ga")) == 1
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_fundamental_category_is_the_oracle_on_random_complexes(seed):
+    # the least word of every class, and a composition table for exactly
+    # the composable pairs of homs, each entry the oracle class of u + v
+    cx = rand_loopfree_complex(Random(seed))
+    fp = fundamental_category(cx)
+    homs = oracle_homs(cx)
+    assert fp.homs == {pair: tuple(comp[0] for comp in comps)
+                       for pair, comps in homs.items()}
+    assert set(fp.comp) == {(a, b, c) for a, b in homs for b2, c in homs
+                            if b2 == b}
+    assert_comp_matches_oracle(fp, oracle_class_of(cx))
 
 
 def test_fundamental_category_rejects_loops():

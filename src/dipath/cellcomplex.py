@@ -122,7 +122,9 @@ class NormalPath:
         return sum((s.length for s in self.segs), Fraction(0))
 
     def carrier(self) -> tuple[str, ...]:
-        return tuple(s.cell for s in self.segs)
+        return self._carrier
+
+    _carrier = cached_property(lambda self: tuple(s.cell for s in self.segs))
 
 
 def np_to_expr(np: NormalPath) -> PathExpr:
@@ -209,22 +211,22 @@ class Complex:
     one cell, and :func:`validate` folds ``extend`` over a description.  A
     complex is immutable: assigning or deleting an attribute raises, and the
     tables a child copies from its parent are never written after
-    construction.  What changes is cached, and describes this complex
-    alone: ``desc`` and ``topological_order`` (None when the cells form a
-    directed cycle; ``loop_free`` reads it), computed on first read, the
-    carrier tables, one per bound, and the memo of accepted paths (see
-    :meth:`check_normal_path`).
+    construction.  What changes is cached: ``desc`` and
+    ``topological_order`` (None when the cells form a directed cycle;
+    ``loop_free`` reads it), computed on first read, the carrier tables,
+    one per bound, and the memo of accepted paths, which a child inherits
+    (see :meth:`check_normal_path`).
     """
 
     def __init__(self, states: tuple[str, ...]):
         states = tuple(states)
         if len(set(states)) != len(states):
             raise UnknownStateError("state names must be distinct")
-        self._fill(states, {}, {}, {s: () for s in states})
+        self._fill(states, {}, {}, {s: () for s in states}, {})
 
     def _fill(self, states: tuple[str, ...], cells: dict[str, Cell],
               boundaries: dict[str, tuple[NormalPath, NormalPath]],
-              arcs: dict[str, tuple[Cell, ...]]) -> None:
+              arcs: dict[str, tuple[Cell, ...]], verified: dict) -> None:
         owner = ref(self)
 
         def forget(dead: _PathRef) -> None:
@@ -236,9 +238,9 @@ class Complex:
         vars(self).update(
             states=states, _cells=cells, _boundaries=boundaries, _arcs=arcs,
             _carrier_tables={},
-            # id(path) -> weak reference to each path object that
-            # check_normal_path accepted; an entry goes when its path dies
-            _verified={}, _forget=forget)
+            # id(path) -> weak reference to each accepted path object; an
+            # entry goes when its path dies, or stays dead, if inherited
+            _verified=verified, _forget=forget)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Complex is immutable: cannot set {name!r}")
@@ -279,8 +281,9 @@ class Complex:
         Only the new cell is admitted: its id and states, and for a globe
         its two boundary paths, normalized here, where every cell they may
         use is already attached.  The child copies the parent's cell,
-        boundary and arc tables (sharing their immutable values), and
-        starts with its own empty caches and path memo."""
+        boundary and arc tables (sharing their immutable values) and its
+        memo of accepted paths, which is sound as no existing cell changes
+        (see :meth:`check_normal_path`), and starts with empty caches."""
         if cell.id in self._cells:
             raise UnknownCellError("cell ids must be distinct")
         boundary = self._admit(cell)
@@ -292,7 +295,7 @@ class Complex:
                                       key=attrgetter("id")))
         child = object.__new__(Complex)
         child._fill(self.states, {**self._cells, cell.id: cell}, boundaries,
-                    arcs)
+                    arcs, dict(self._verified))
         return child
 
     # -- construction-time checks
@@ -431,12 +434,12 @@ class Complex:
         An accepted path object is remembered by identity, weakly, and is
         accepted again without the walk: the complex and the path are both
         immutable, so a second walk would give the same answer.  A rejected
-        path is never remembered, and the memo belongs to this complex
-        alone; a child made by :meth:`extend` starts empty.  A counit check
-        shares its witness slot paths across steps and makes the pushout of
-        one step the base of the next, so the slot path that ``realize``
-        accepted against a pushout is the very object that ``make_elem``
-        checks against it at the next step, and is walked once."""
+        path is never remembered.  A child made by :meth:`extend` copies the
+        memo: the walk reads only cells the segments name, which the child
+        holds unchanged, while a path through the new cell stays rejected by
+        the parent.  A counit check shares its witness slot paths across
+        steps and makes each pushout the next base, so a slot path is walked
+        about once per check."""
         seen = self._verified.get(id(np))
         if seen is not None and seen() is np:
             return np

@@ -226,6 +226,11 @@ def run(argv=None) -> int:
         _emit({"error": BadInputError.code,
                "detail": "input nests too deeply to process"}, args.format)
         return 2
+    except ValueError as exc:  # a number past the interpreter's digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        _emit({"error": BadInputError.code, "detail": str(exc)}, args.format)
+        return 2
     _emit(report, args.format)
     return status
 

@@ -125,15 +125,13 @@ def counit_check(cx: Complex, bound: int) -> dict:
     """Run the pushout carrier check at every attachment step.
 
     The steps replay the chain that builds ``cx`` one cell at a time: the
-    pushout of step i is ``base.extend(cell)``, and it is the base of step
-    i+1, so only the new cell is admitted and each carrier table is built
-    once.  One ``WitnessPaths`` serves every step, so a run word's slot
-    triple, entry and path are built once per check and shared by every
-    shape and step.  A path accepted by a complex is remembered by it, so a
-    k=0 witness at step i+1 (one base run along a carrier of step i) is
-    walked once: ``realize`` checked that very path object against the same
-    complex at step i.  Every witness is still built, tested for being
-    simplified, realized and compared by carrier at every step."""
+    pushout of step i is ``base.extend(cell)`` and the base of step i+1, so
+    each cell is admitted and each carrier table built once.  One
+    ``WitnessPaths`` serves every step, and every complex inherits the
+    paths its parent accepted, so a slot path is walked about once per
+    check.  Every witness is still built, tested for being simplified,
+    realized (each slot checked against both complexes of its step) and
+    compared by carrier at every step."""
     steps = []
     ok = True
     paths = WitnessPaths(cx.desc.cells)

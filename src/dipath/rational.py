@@ -6,23 +6,26 @@ or "2" for integers.  ``fractions.Fraction`` keeps everything exact.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import BadInputError, BadLengthError
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the only string form
+
+
 def parse_fraction(value) -> Fraction:
-    """Parse "p/q" (or "p", or a JSON integer) into a Fraction."""
-    if isinstance(value, bool):
-        raise BadInputError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    """Parse "p/q" (or "p", or a JSON integer) into a Fraction; no other
+    string form, and no more digits than the interpreter converts."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise BadInputError(f"not a rational: {value!r}") from exc
-    raise BadInputError(f"not a rational: {value!r}")
+            raise BadInputError(f"not a rational: {value!r:.40}: {exc}") from exc
+    raise BadInputError(f"not a rational: {value!r:.40}")
 
 
 def format_fraction(value: Fraction) -> str:

@@ -780,10 +780,60 @@ def test_accepted_paths_are_walked_once_per_complex(monkeypatch):
     assert len(walks) == 4
     base.check_normal_path(twin)
     assert len(walks) == 6
-    # a child starts with an empty memo
+    # a child inherits its parent's acceptances: no walk at all
     child = base.extend(edge("z", "top", "bot"))
-    child.check_normal_path(path)
-    assert len(walks) == 8
+    assert child.check_normal_path(path) is path
+    assert child.check_normal_path(twin) is twin
+    assert len(walks) == 6
+
+
+def test_siblings_do_not_share_acceptances(monkeypatch):
+    base = build("square_open")
+    left = base.extend(edge("z", "top", "bot"))
+    right = base.extend(edge("y", "top", "bot"))
+    path = unit_np(base, ("a", "b"))
+    walks = count_walks(monkeypatch)
+    assert left.check_normal_path(path) is path
+    assert len(walks) == 2
+    # an acceptance flows neither across to a sibling nor back to the parent
+    assert right.check_normal_path(path) is path
+    assert len(walks) == 4
+    assert base.check_normal_path(path) is path
+    assert len(walks) == 6
+
+
+def test_a_path_through_a_sibling_cell_is_rejected():
+    base = build("square_open")
+    left = base.extend(edge("z", "top", "bot"))
+    right = base.extend(edge("y", "top", "bot"))
+    through = unit_np(left, ("a", "b", "z"))
+    assert left.check_normal_path(through) is through
+    grandchild = left.extend(edge("x", "bot", "top"))
+    assert grandchild.check_normal_path(through) is through
+    for cx in (right, base, right.extend(edge("x", "bot", "top"))):
+        for _ in range(2):
+            with pytest.raises(UnknownCellError):
+                cx.check_normal_path(through)
+
+
+def test_a_child_walks_again_once_an_inherited_path_died(monkeypatch):
+    import gc
+
+    base = build("square_open")
+    path = unit_np(base, ("a", "b"))
+    base.check_normal_path(path)
+    child = base.extend(edge("z", "top", "bot"))
+    assert len(child._verified) == 1
+    walks = count_walks(monkeypatch)
+    del path
+    gc.collect()
+    assert len(base._verified) == 0
+    again = unit_np(base, ("a", "b"))
+    walks.clear()
+    assert child.check_normal_path(again) is again
+    assert len(walks) == 2
+    assert child.check_normal_path(again) is again
+    assert len(walks) == 2
 
 
 def test_path_accepted_by_the_pushout_is_still_rejected_by_the_base():

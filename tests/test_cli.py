@@ -160,6 +160,61 @@ def test_deeply_nested_paths_exit_two(corpus_dir, tmp_path, depth, error):
         assert "deep.json" in report["detail"]
 
 
+def test_parse_fraction_reads_only_the_documented_form():
+    from fractions import Fraction
+
+    from dipath.errors import BadInputError
+    from dipath.rational import parse_fraction
+
+    for text, value in (("3/4", Fraction(3, 4)), ("-1/2", Fraction(-1, 2)),
+                        ("2", Fraction(2)), ("6/8", Fraction(3, 4)),
+                        (5, Fraction(5))):
+        assert parse_fraction(text) == value
+    for bad in ("0.5", "1e3", "+1", " 1", "1 ", "1/-2", "1/0", "1_000",
+                "\u0661", "", "-", "1/", True, 0.5, None, ["1"]):
+        with pytest.raises(BadInputError):
+            parse_fraction(bad)
+
+
+def unit_step_json(length):
+    return {"step": {"cell": "e", "z": [], "chi": {
+        "src": length, "dst": "1", "breaks": [["0", "0"], [length, "1"]]}}}
+
+
+def two_long_breaks_json(digits):
+    # each number of the input fits the interpreter's digit limit, but the
+    # composed time law of the normal form does not
+    def law(d):
+        return {"src": "1", "dst": "1", "breaks": [
+            ["0", "0"], ["1/" + d * digits, "1/7"], ["1", "1"]]}
+    return {"repar": {"path": {"step": {"cell": "e", "z": [],
+                                        "chi": law("3")}},
+                      "phi": law("9")}}
+
+
+@pytest.mark.parametrize("path_json", [
+    json.dumps(unit_step_json("1e999999")),
+    json.dumps(unit_step_json("1" * 5000)),
+    json.dumps(unit_step_json("0.5")),
+    json.dumps(unit_step_json("1")).replace('"src": "1"', '"src": ' + "1" * 5000),
+    json.dumps(two_long_breaks_json(4000)),
+], ids=["exponent", "5000_digits", "decimal", "5000_digit_json_int",
+        "result_past_digit_limit"])
+def test_malformed_rationals_exit_two(corpus_dir, tmp_path, path_json):
+    # in a fresh process, as the CLI runs: no traceback, and never exit 1
+    path = tmp_path / "path.json"
+    path.write_text(path_json)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(dipath.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dipath", "normalize",
+         str(corpus_dir / "segment.json"), str(path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == "bad_input"
+
+
 def test_recursion_error_anywhere_exits_two(corpus_dir, capsys, monkeypatch):
     import dipath.cli as cli
 

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dipath.cellcomplex import Cell, ComplexDesc, NormComp, validate
@@ -234,23 +234,24 @@ def test_counit_check_with_loop():
     assert report["ok"]
 
 
-def test_counit_check_on_random_complexes():
-    from random import Random
-
-    from helpers import rand_loopfree_complex
-
-    rng = Random(21)
-    for _ in range(8):
-        cx = rand_loopfree_complex(rng)
-        report = counit_check(cx, 5)
-        assert report["ok"]
-        # each step, run on the previous step's pushout, equals the
-        # stand-alone check on a freshly validated prefix
-        cells = cx.desc.cells
-        assert report["steps"] == [
-            pushout_check(validate(ComplexDesc(cx.states, cells[:i])),
-                          cell, 5)
-            for i, cell in enumerate(cells)]
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.one_of(st.integers(0, 2**32 - 1), st.just("loop_heavy")),
+       st.integers(0, 6))
+@example("loop_heavy", 6)
+@example(21, 5)
+def test_counit_check_on_random_complexes(source, bound):
+    # each step, run on the previous step's pushout with the memo it
+    # inherited and the witness parts of earlier steps, equals the
+    # stand-alone check on a freshly validated prefix, which has fresh
+    # memos and fresh witness parts
+    cx = (build(source) if isinstance(source, str)
+          else rand_loopfree_complex(Random(source)))
+    report = counit_check(cx, bound)
+    assert report["ok"]
+    cells = cx.desc.cells
+    assert report["steps"] == [
+        pushout_check(validate(ComplexDesc(cx.states, cells[:i])), cell, bound)
+        for i, cell in enumerate(cells)]
 
 
 def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):

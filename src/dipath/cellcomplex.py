@@ -39,15 +39,7 @@ from .errors import (
     UnknownStateError,
 )
 from .rational import format_fraction, parse_fraction
-from .reparam import (
-    PLHomeo,
-    compose,
-    inverse,
-    mu,
-    pl_eval,
-    pl_from_json,
-    split,
-)
+from .reparam import PLHomeo, absorb, inverse, mu, pl_eval, pl_from_json
 
 # t |-> 2t, the time law of every normalized concatenation (shared: frozen)
 _DOUBLING = inverse(mu(2))
@@ -152,18 +144,25 @@ def disk_side(z: tuple[Fraction, ...]) -> int:
     return (num > den) - (num < den)
 
 
+def concat(left: NormalPath, right: NormalPath) -> NormalPath:
+    """Length-adding concatenation of two normal forms: their segments
+    joined, which is again a normal form, once the endpoints meet."""
+    if left.end != right.start:
+        raise EndpointMismatchError(
+            f"cannot concatenate: {left.end} != {right.start}")
+    return NormalPath(left.start, right.end, left.segs + right.segs)
+
+
 def repar_normal(np: NormalPath, phi: PLHomeo) -> NormalPath:
     """Reparametrize a normal form by phi, whose target interval must be the
-    path's time interval.  phi splits at the preimages of the segment cuts
-    and each block composes into the segment's time law."""
+    path's time interval: :func:`absorb` phi into the segments' time laws."""
     if phi.dst_len != np.total_len:
         raise LengthMismatchError(
             f"phi lands in [0,{phi.dst_len}] but the path runs on "
             f"[0,{np.total_len}]")
-    blocks = split(phi, [s.length for s in np.segs])
-    segs = tuple(Seg(s.cell, s.z, compose(block, s.chi))
-                 for s, block in zip(np.segs, blocks))
-    return NormalPath(np.start, np.end, segs)
+    chis = absorb(phi, [s.chi for s in np.segs])
+    return NormalPath(np.start, np.end, tuple(
+        Seg(s.cell, s.z, chi) for s, chi in zip(np.segs, chis)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +359,7 @@ class Complex:
         if isinstance(expr, Step):
             return self._normalize_step(expr)
         if isinstance(expr, Moore):
-            left = self.normalize(expr.left)
-            right = self.normalize(expr.right)
-            if left.end != right.start:
-                raise EndpointMismatchError(
-                    f"cannot concatenate: {left.end} != {right.start}")
-            return NormalPath(left.start, right.end, left.segs + right.segs)
+            return concat(self.normalize(expr.left), self.normalize(expr.right))
         if isinstance(expr, NormComp):
             left = self.normalize(expr.left)
             right = self.normalize(expr.right)
@@ -374,11 +368,7 @@ class Complex:
                     raise BadLengthError(
                         "normalized concatenation needs length-1 operands, "
                         f"got {side.total_len}")
-            if left.end != right.start:
-                raise EndpointMismatchError(
-                    f"cannot concatenate: {left.end} != {right.start}")
-            glued = NormalPath(left.start, right.end, left.segs + right.segs)
-            return repar_normal(glued, _DOUBLING)
+            return repar_normal(concat(left, right), _DOUBLING)
         if isinstance(expr, Repar):
             child = self.normalize(expr.path)
             return repar_normal(child, expr.phi)
@@ -481,7 +471,11 @@ class Complex:
             return self._carrier_tables[bound]
         except KeyError:
             pass
-        self._check_carrier_bound(bound)
+        if bound is not None and bound < 0:
+            raise BadInputError(f"carrier bound must be >= 0, got {bound}")
+        if bound is None and not self.loop_free:
+            raise UnboundedEnumerationError(
+                "complex has loops: pass an explicit carrier bound")
         table = {}
         for src in self.states:
             found = self._walk_carriers(src, bound)
@@ -495,28 +489,16 @@ class Complex:
                            max_len: Optional[int] = None) -> list[tuple[str, ...]]:
         """All cell words realizable as carriers of paths src -> dst, in
         sorted order.  ``max_len`` is required when the complex has
-        directed cycles.  Read from the carrier table when it is already
-        built; otherwise one walk from ``src`` keeping only words to ``dst``."""
+        directed cycles.  Read from the carrier table of that bound, which
+        is built on the first query and shared by every later one."""
         if src not in self._arcs or dst not in self._arcs:
             raise UnknownStateError(f"unknown state {src!r} or {dst!r}")
-        table = self._carrier_tables.get(max_len)
-        if table is not None:
-            return list(table.get((src, dst), ()))
-        self._check_carrier_bound(max_len)
-        return sorted(self._walk_carriers(src, max_len, dst).get(dst, ()))
+        return list(self.carrier_table(max_len).get((src, dst), ()))
 
-    def _check_carrier_bound(self, bound: Optional[int]) -> None:
-        if bound is not None and bound < 0:
-            raise BadInputError(f"carrier bound must be >= 0, got {bound}")
-        if bound is None and not self.loop_free:
-            raise UnboundedEnumerationError(
-                "complex has loops: pass an explicit carrier bound")
-
-    def _walk_carriers(self, src: str, bound: Optional[int],
-                       dst: Optional[str] = None
+    def _walk_carriers(self, src: str, bound: Optional[int]
                        ) -> dict[str, list[tuple[str, ...]]]:
         """Carrier words from ``src`` of at most ``bound`` cells, by end
-        state (only those ending at ``dst`` when it is given)."""
+        state."""
         found: dict[str, list[tuple[str, ...]]] = {}
         stack: list[tuple[str, tuple[str, ...]]] = [(src, ())]
         while stack:
@@ -525,8 +507,7 @@ class Complex:
                 continue
             for cell in self._arcs[state]:
                 longer = word + (cell.id,)
-                if dst is None or cell.dst == dst:
-                    found.setdefault(cell.dst, []).append(longer)
+                found.setdefault(cell.dst, []).append(longer)
                 stack.append((cell.dst, longer))
         return found
 

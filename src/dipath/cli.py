@@ -60,25 +60,19 @@ def _split_at_cell(path: str, cell_id: str):
 def _render_text(value, indent=0) -> list[str]:
     pad = "  " * indent
     if isinstance(value, dict):
-        lines = []
-        for key in sorted(value):
-            inner = value[key]
-            if isinstance(inner, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(inner, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {json.dumps(inner)}")
-        return lines
-    if isinstance(value, list):
-        lines = []
-        for inner in value:
-            if isinstance(inner, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(inner, indent + 1))
-            else:
-                lines.append(f"{pad}- {json.dumps(inner)}")
-        return lines
-    return [f"{pad}{json.dumps(value)}"]
+        items = [(f"{key}:", value[key]) for key in sorted(value)]
+    elif isinstance(value, list):
+        items = [("-", inner) for inner in value]
+    else:
+        return [f"{pad}{json.dumps(value)}"]
+    lines = []
+    for head, inner in items:
+        if isinstance(inner, (dict, list)):
+            lines.append(f"{pad}{head}")
+            lines.extend(_render_text(inner, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {json.dumps(inner)}")
+    return lines
 
 
 def _emit(report: dict, fmt: str) -> None:

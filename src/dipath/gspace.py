@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import BadInputError, DuplicateLabelError, LengthChainMismatchError
 from .rational import as_length, format_fraction, parse_fraction
-from .reparam import PLHomeo, compose, identity, pl_from_json, split
+from .reparam import PLHomeo, absorb, identity, pl_from_json
 
 
 @dataclass(frozen=True)
@@ -110,16 +110,15 @@ def elem_make(outer: PLHomeo, parts: Sequence[tuple[str, PLHomeo]]) -> TensorEle
 def elem_normalize(elem: TensorElem) -> TensorElem:
     """Absorb the outer map into the factors.
 
-    The outer map splits at the preimages of the factor partial sums and
-    each block composes into the corresponding twist.  Idempotent.
+    :func:`~dipath.reparam.absorb` splits the outer map at the preimages
+    of the factor partial sums and composes each block into the
+    corresponding twist.  Idempotent.
     """
     if elem.is_canonical():
         return elem
-    blocks = split(elem.outer, [f.length for f in elem.factors])
-    factors = tuple(
-        Factor(f.label, compose(block, f.twist))
-        for f, block in zip(elem.factors, blocks))
-    return TensorElem(identity(elem.total_len), factors)
+    twists = absorb(elem.outer, [f.twist for f in elem.factors])
+    return TensorElem(identity(elem.total_len), tuple(
+        Factor(f.label, twist) for f, twist in zip(elem.factors, twists)))
 
 
 def elem_equal(e1: TensorElem, e2: TensorElem) -> bool:

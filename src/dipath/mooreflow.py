@@ -166,22 +166,6 @@ class FlowPresentation:
         return {"objects": list(self.objects), "homs": homs, "comp": comp}
 
 
-def _flatten_to_edges(cx: Complex, cid: str, memo: dict) -> Word:
-    """Replace a cell by its edge word, resolving globes through their lower
-    boundary (the two boundaries end up congruent anyway)."""
-    if cid in memo:
-        return memo[cid]
-    cell = cx.cell(cid)
-    if cell.disk_dim == 0:
-        word: Word = (cid,)
-    else:
-        minus, _ = cx.boundary_normal(cid)
-        word = tuple(x for c in minus.carrier()
-                     for x in _flatten_to_edges(cx, c, memo))
-    memo[cid] = word
-    return word
-
-
 def _root(parent: list[int], n: int) -> int:
     """The root of n in a union-find forest, halving its path."""
     while parent[n] != n:
@@ -203,6 +187,11 @@ def fundamental_category(cx: Complex) -> FlowPresentation:
     globe, by its two boundary edge words; each class is represented by its
     least word, and the classes of a hom are sorted by it.
 
+    One pass over the cells in attachment order flattens each cell to its
+    edge word: an edge to itself, a globe to its lower boundary with each
+    cell flattened (both boundaries end up congruent), whose cells all came
+    earlier in the pass.
+
     The states are visited in topological order.  The congruence is
     compatible with composition, and a replacement inside ``w·e`` either
     lies inside ``w`` or ends at the target c of ``e``.  So the classes of
@@ -219,14 +208,16 @@ def fundamental_category(cx: Complex) -> FlowPresentation:
     into: dict[str, list[Cell]] = {s: [] for s in order}
     # target state -> (source state, lhs, rhs) of each relation
     relations: dict[str, list[tuple[str, Word, Word]]] = {s: [] for s in order}
-    memo: dict = {}
+    # cell id -> its edge word
+    flat: dict[str, Word] = {}
     for cell in cx.desc.cells:
         if cell.disk_dim == 0:
             into[cell.dst].append(cell)
+            flat[cell.id] = (cell.id,)
             continue
-        lhs, rhs = (tuple(x for c in side.carrier()
-                          for x in _flatten_to_edges(cx, c, memo))
+        lhs, rhs = (tuple(x for c in side.carrier() for x in flat[c])
                     for side in cx.boundary_normal(cell.id))
+        flat[cell.id] = lhs
         if lhs != rhs:
             relations[cell.dst].append((cell.src, lhs, rhs))
 

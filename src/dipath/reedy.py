@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Union
 
 from .cellcomplex import (
@@ -28,6 +29,7 @@ from .cellcomplex import (
     NormalPath,
     Seg,
     Step,
+    concat,
     disk_side,
     normal_path_from_json,
     normal_path_to_json,
@@ -163,6 +165,15 @@ def make_elem(obj: ReedyObj, entries, base: Complex) -> ReedyElem:
 # single-step arrows
 
 
+def _replace(elem: ReedyElem, i: int, n: int, triple: Triple,
+             entry: Entry) -> ReedyElem:
+    """``elem`` with its n slots from slot i replaced by one slot."""
+    trips, entries = elem.obj.triples, elem.entries
+    obj = ReedyObj(elem.obj.u, elem.obj.v,
+                   trips[:i] + (triple,) + trips[i + n:])
+    return ReedyElem(obj, entries[:i] + (entry,) + entries[i + n:])
+
+
 def apply_composition(elem: ReedyElem, i: int) -> ReedyElem:
     """Merge the flag-0 slots i and i+1 by path concatenation."""
     trips = elem.obj.triples
@@ -176,12 +187,8 @@ def apply_composition(elem: ReedyElem, i: int) -> ReedyElem:
     right = elem.entries[i + 1]
     if not (isinstance(left, APath) and isinstance(right, APath)):
         raise EngineError(f"flag-0 slots {i} and {i+1} hold no base paths")
-    merged = NormalPath(left.path.start, right.path.end,
-                        left.path.segs + right.path.segs)
-    obj = ReedyObj(elem.obj.u, elem.obj.v,
-                   trips[:i] + ((a, 0, c),) + trips[i + 2:])
-    return ReedyElem(obj, elem.entries[:i] + (APath(merged),)
-                     + elem.entries[i + 2:])
+    return _replace(elem, i, 2, (a, 0, c),
+                    APath(concat(left.path, right.path)))
 
 
 def apply_inclusion(elem: ReedyElem, i: int) -> ReedyElem:
@@ -197,10 +204,7 @@ def apply_inclusion(elem: ReedyElem, i: int) -> ReedyElem:
     entry = elem.entries[i]
     if not isinstance(entry, APath):
         raise EngineError(f"flag-0 slot {i} holds no base path")
-    obj = ReedyObj(elem.obj.u, elem.obj.v,
-                   trips[:i] + ((a, 1, b),) + trips[i + 1:])
-    return ReedyElem(obj, elem.entries[:i] + (InjPath(entry.path),)
-                     + elem.entries[i + 1:])
+    return _replace(elem, i, 1, (a, 1, b), InjPath(entry.path))
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +221,8 @@ def _check_cell(elem: ReedyElem, cell: Cell) -> None:
 def _boundary_path(base: Complex, cell: Cell,
                    z: tuple[Fraction, ...]) -> NormalPath:
     if cell.disk_dim == 1:
-        minus = base.normalize(cell.boundary_minus)
-        plus = base.normalize(cell.boundary_plus)
-        return minus if z[0] < 0 else plus
+        return base.normalize(cell.boundary_minus if z[0] < 0
+                              else cell.boundary_plus)
     raise NoBoundaryDataError(
         f"no boundary interpretation for a dimension-{cell.disk_dim} "
         f"cell point {z}")
@@ -248,11 +251,7 @@ def _demote(elem: ReedyElem, i: int, base: Complex, cell: Cell) -> ReedyElem:
     else:
         raise EngineError(f"slot {i} holds no demotable entry")
     a, _, b = elem.obj.triples[i]
-    obj = ReedyObj(elem.obj.u, elem.obj.v,
-                   elem.obj.triples[:i] + ((a, 0, b),)
-                   + elem.obj.triples[i + 1:])
-    return ReedyElem(obj, elem.entries[:i] + (APath(path),)
-                     + elem.entries[i + 1:])
+    return _replace(elem, i, 1, (a, 0, b), APath(path))
 
 
 def _merges(elem: ReedyElem):
@@ -315,8 +314,9 @@ def realize(elem: ReedyElem, pushout: Complex, cell_id: str) -> NormalPath:
 
     Base paths are normal forms already, so each is only checked against
     the pushout; a pass through the cell is normalized, which resolves a
-    boundary point to its attached path.  An element of one slot realizes
-    as that slot's checked part itself."""
+    boundary point to its attached path.  ``concat`` joins the parts left
+    to right, checking that each meets the next, so an element of one slot
+    realizes as that slot's checked part itself."""
     cell = pushout.cell(cell_id)
     _check_cell(elem, cell)
     parts = []
@@ -325,14 +325,7 @@ def realize(elem: ReedyElem, pushout: Complex, cell_id: str) -> NormalPath:
             parts.append(pushout.check_normal_path(entry.path))
         else:
             parts.append(pushout.normalize(Step(cell_id, entry.z, entry.chi)))
-    if len(parts) == 1:
-        return parts[0]
-    for left, right in zip(parts, parts[1:]):
-        if left.end != right.start:
-            raise EndpointMismatchError(
-                f"cannot concatenate: {left.end} != {right.start}")
-    return NormalPath(parts[0].start, parts[-1].end,
-                      tuple(seg for part in parts for seg in part.segs))
+    return reduce(concat, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +439,15 @@ def _check_pushout(base: Complex, pushout: Complex, cell: Cell,
         raise EngineError("shape enumeration produced duplicate carriers")
     rhs = sorted(word for words in pushout.carrier_table(bound).values()
                  for word in words)
+    # equal sides share one list: printed the same, in half the memory
+    bijection = lhs == rhs
+    lhs_json = [list(w) for w in lhs]
     return {
         "cell": cell.id,
         "bound": bound,
-        "lhs_carriers": [list(w) for w in lhs],
-        "rhs_carriers": [list(w) for w in rhs],
-        "bijection": lhs == rhs,
+        "lhs_carriers": lhs_json,
+        "rhs_carriers": lhs_json if bijection else [list(w) for w in rhs],
+        "bijection": bijection,
     }
 
 

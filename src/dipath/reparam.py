@@ -262,6 +262,14 @@ def split(phi: PLHomeo, dst_lengths: Sequence) -> tuple[PLHomeo, ...]:
     return _blocks(phi, dst_lengths, 2)
 
 
+def absorb(phi: PLHomeo, laws: Sequence[PLHomeo]) -> tuple[PLHomeo, ...]:
+    """Push phi into a chain of laws whose source lengths add up to phi's
+    target length: phi splits at the preimages of the laws' cuts, and each
+    block composes into its law.  The tensor of the results is phi followed
+    by the tensor of the laws."""
+    return tuple(map(compose, split(phi, [law.src_len for law in laws]), laws))
+
+
 def pl_from_json(data) -> PLHomeo:
     try:
         src = parse_fraction(data["src"])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dipath.cellcomplex import (
     Cell,
+    Complex,
     ComplexDesc,
     Moore,
     NormComp,
@@ -434,9 +435,9 @@ def test_carrier_counts_match_matrix_powers():
                                for w in cx.enumerate_carriers(a, b, bound))
                 for k in range(1, bound + 1):
                     assert hist.get(k, 0) == powers[k][index[a]][index[b]]
-        # the single-source walk (on a complex with no table yet) and the
-        # shared table both hold, pair by pair, what the per-pair walk of
-        # brute_force_carriers finds; pairs without carriers are absent
+        # queries on a complex with no table yet (the first builds it) and
+        # the shared table both hold, pair by pair, what the per-pair walk
+        # of brute_force_carriers finds; pairs without carriers are absent
         bounds = [0, 1, bound, None] if cx.loop_free else [0, 1, bound]
         for table_bound in bounds:
             fresh = build(name)
@@ -458,6 +459,30 @@ def test_carrier_counts_match_matrix_powers():
             assert list(table) == sorted(
                 table, key=lambda p: (index[p[0]], index[p[1]]))
             assert cx.carrier_table(table_bound) is table
+
+
+def test_enumerate_carriers_reads_the_shared_table(monkeypatch):
+    # the first query builds the table of its bound, one walk per source
+    # state; later queries and carrier_table itself walk no more
+    walks = []
+    walk = Complex._walk_carriers
+    monkeypatch.setattr(Complex, "_walk_carriers",
+                        lambda self, src, *rest: walks.append(src)
+                        or walk(self, src, *rest))
+    for name, bound in [("square", None), ("loop_heavy", 4)]:
+        cx = build(name)
+        walks.clear()
+        a, b = cx.states[0], cx.states[-1]
+        words = cx.enumerate_carriers(a, b, bound)
+        assert walks == list(cx.states)
+        table = cx.carrier_table(bound)
+        assert list(table.get((a, b), ())) == words
+        assert cx.carrier_table(bound) is table
+        for x in cx.states:
+            for y in cx.states:
+                assert cx.enumerate_carriers(x, y, bound) == list(
+                    table.get((x, y), ()))
+        assert walks == list(cx.states)
 
 
 def brute_force_carriers(cx, src, dst, bound):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -456,6 +457,25 @@ def test_text_format(corpus_dir, capsys):
                          str(corpus_dir / "square.json"))
     assert status == 0
     assert "loop_free: true" in out
+
+
+@pytest.mark.parametrize("golden, argv, want_status", [
+    ("fundcat_square", ["fundcat", "square.json"], 0),
+    ("counit_double_globe_b3",
+     ["counit-check", "--bound", "3", "double_globe.json"], 0),
+    ("carriers_unknown_state",
+     ["carriers", "--from", "zz", "--to", "bot", "square.json"], 2),
+])
+def test_text_format_nested_reports(corpus_dir, capsys, golden, argv,
+                                    want_status):
+    # nested dicts and lists, and an error report, rendered as text; the
+    # expected bytes are kept under tests/golden
+    argv = [str(corpus_dir / a) if a.endswith(".json") else a for a in argv]
+    status, out = invoke(capsys, "--format", "text", *argv)
+    want = (Path(__file__).parent / "golden" / f"{golden}.txt").read_text(
+        encoding="utf-8")
+    assert status == want_status
+    assert out == want
 
 
 def test_module_entry_point(corpus_dir):

@@ -313,6 +313,32 @@ def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
             assert nxt["base"] is prev["pushout"]
 
 
+def test_counit_report_shares_equal_carrier_lists(corpus_dir, capsys):
+    # a step that holds reports one list under both keys; the CLI still
+    # prints both in full
+    import json
+
+    from dipath.cellcomplex import prefix_complexes
+    from dipath.cli import run
+
+    for name in ("double_globe", "loop_heavy", "grid21"):
+        cx = build(name)
+        report = counit_check(cx, 4)
+        pushouts = list(prefix_complexes(cx.desc))[1:]
+        want = [sorted(list(w) for words in px.carrier_table(4).values()
+                       for w in words) for px in pushouts]
+        assert report["ok"]
+        for step, carriers in zip(report["steps"], want):
+            assert step["rhs_carriers"] is step["lhs_carriers"]
+            assert step["lhs_carriers"] == carriers
+        assert run(["counit-check", "--bound", "4",
+                    str(corpus_dir / f"{name}.json")]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == report
+        for step, carriers in zip(printed["steps"], want):
+            assert step["lhs_carriers"] == step["rhs_carriers"] == carriers
+
+
 def _poison_slot(monkeypatch, word, bad_seg):
     """Make every WitnessPaths hand out, for ``word`` only, a slot path
     whose first segment is replaced by ``bad_seg(seg)``."""

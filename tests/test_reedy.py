@@ -45,7 +45,15 @@ from dipath.reedy import (
 )
 from dipath.reparam import make_pl, mu
 from dipath.sampling import rand_pl
-from fixture_lib import chain_desc, edge, estep, globe, loop_heavy_desc, segment_desc
+from fixture_lib import (
+    chain_desc,
+    double_globe_desc,
+    edge,
+    estep,
+    globe,
+    loop_heavy_desc,
+    segment_desc,
+)
 from helpers import (
     all_normal_forms,
     rand_a_path,
@@ -156,6 +164,32 @@ def test_boundary_demotion_then_merge():
     assert nf.entries[0].path.carrier() == ("l", "l")
     expected_tail = repar_normal(cx.normalize(estep("l")), chi)
     assert nf.entries[0].path.segs[1:] == expected_tail.segs
+
+
+def test_boundary_demotion_normalizes_only_its_side(monkeypatch):
+    # a cell point on the sphere demotes to one boundary path, and only that
+    # boundary expression is normalized
+    from dipath.cellcomplex import Complex
+
+    desc = double_globe_desc()
+    base = validate(ComplexDesc(desc.states, desc.cells[:4]))
+    cell = desc.cells[4]
+    chi = rand_pl(Random(5), 1, 1, max_segments=3)
+    obj = make_obj("a", "b", [("a", 1, "b")])
+    seen = []
+    normalize = Complex.normalize
+
+    def spy(self, expr):
+        seen.append(expr)
+        return normalize(self, expr)
+
+    monkeypatch.setattr(Complex, "normalize", spy)
+    for z, side in ((F(-1), cell.boundary_minus), (F(1), cell.boundary_plus)):
+        e = make_elem(obj, [CellPath((z,), chi)], base)
+        seen.clear()
+        nf = normalize_elem(e, base, cell)
+        assert seen == [side]
+        assert nf.entries == (APath(repar_normal(normalize(base, side), chi)),)
 
 
 def test_inj_entries_are_demoted():

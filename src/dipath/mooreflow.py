@@ -129,16 +129,26 @@ def counit_check(cx: Complex, bound: int) -> dict:
     each cell is admitted and each carrier table built once.  One
     ``WitnessPaths`` serves every step, and every complex inherits the
     paths its parent accepted, so a slot path is walked about once per
-    check.  Every witness is still built, tested for being simplified,
-    realized (each slot checked against both complexes of its step) and
-    compared by carrier at every step."""
+    check.
+
+    A step witnesses only the shapes it adds, those with k >= 1 passes
+    through its cell: each is built, tested for being simplified, realized
+    (each slot checked against both complexes of the step) and compared by
+    carrier.  A k=0 shape is a single base run, which no rewrite rule
+    touches and which realizes to itself; its word is a carrier of the
+    base, witnessed as a k >= 1 shape at the step that attached its last
+    cell, so every word of ``cx`` is witnessed exactly once.  A k=0 shape
+    still adds its word to the step's left list, which is compared with the
+    pushout's own carrier table, and its slot path is still checked against
+    both complexes of the step."""
     steps = []
     ok = True
     paths = WitnessPaths(cx.desc.cells)
     base = Complex(cx.states)
     for cell in cx.desc.cells:
         pushout = pushout_complex(base, cell)
-        report = _check_pushout(base, pushout, cell, bound, paths)
+        report = _check_pushout(base, pushout, cell, bound, paths,
+                                new_only=True)
         ok = ok and report["bijection"]
         steps.append(report)
         base = pushout

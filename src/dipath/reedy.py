@@ -364,8 +364,8 @@ def _shapes(base: Complex, cell: Cell, bound: int, paths: WitnessPaths,
     are adjacent.  Shapes are yielded as (word, triples, entries) by their
     number k of passes: a nonempty run is the slot ``paths`` hands out for
     its word, an empty run holds no slot, and a pass holds ``through``.
-    A last run ends at its start or at a state in its row of the table.  In
-    a counit check, ``base`` inherited the acceptance of each k=0 slot path.
+    A last run ends at its start or at a state in its row of the table.  The
+    k=0 shapes, single runs of the base, come first.
     """
     table = base.carrier_table(bound)
     rows = {a: {a: None} for a in base.states}
@@ -407,25 +407,37 @@ def pushout_check(base: Complex, cell: Cell, bound: int) -> dict:
     right list enumerates the pushout's carriers directly.
     """
     return _check_pushout(base, pushout_complex(base, cell), cell, bound,
-                          WitnessPaths(base.desc.cells))
+                          WitnessPaths(base.desc.cells), new_only=False)
 
 
 def _check_pushout(base: Complex, pushout: Complex, cell: Cell,
-                   bound: int, paths: WitnessPaths) -> dict:
+                   bound: int, paths: WitnessPaths, new_only: bool) -> dict:
     """:func:`pushout_check` against an already built pushout, with witness
     slots taken from ``paths``, which must know every base cell.
 
     The shapes share their slot triples, entries and paths (one per run
-    word, from ``paths``) and one pass through the cell, but every check
-    runs for every witness: its element is built by ``make_obj`` and
-    ``make_elem`` (which checks each base slot against ``base``), tested
-    with ``is_simplified`` and realized in ``pushout`` (which checks each
-    base slot again, against ``pushout``), and its carrier compared with
-    the shape's word."""
+    word, from ``paths``) and one pass through the cell.  A witness element
+    is built by ``make_obj`` and ``make_elem`` (which checks each base slot
+    against ``base``), tested with ``is_simplified`` and realized in
+    ``pushout`` (which checks each base slot again, against ``pushout``),
+    and its carrier compared with the shape's word.
+
+    With ``new_only`` that runs for the shapes with k >= 1 passes only.  A
+    k=0 shape is one flag-0 slot of unit segments along a base carrier; no
+    rule applies to it (merging needs two adjacent flag-0 slots, lowering
+    acts on flag-1 slots), so it realizes to its slot path, and that word
+    was witnessed as a k >= 1 shape at the step attaching its last cell.
+    Its slot path is still checked against ``base`` and then ``pushout``,
+    so the next step, whose base is ``pushout``, accepts it from the memo,
+    and its word still joins the left list."""
     through = CellPath((_ZERO,) * cell.disk_dim, _UNIT)
     u, v = cell.src, cell.dst
     lhs = []
     for word, triples, entries in _shapes(base, cell, bound, paths, through):
+        lhs.append(word)
+        if new_only and len(triples) == 1 and triples[0][1] == 0:
+            pushout.check_normal_path(base.check_normal_path(entries[0].path))
+            continue
         elem = make_elem(make_obj(u, v, triples), entries, base)
         if not is_simplified(elem, base, cell):
             raise EngineError(f"witness for {word} is not simplified")
@@ -433,7 +445,6 @@ def _check_pushout(base: Complex, pushout: Complex, cell: Cell,
         if realized.carrier() != word:
             raise EngineError(
                 f"witness realization carrier {realized.carrier()} != {word}")
-        lhs.append(word)
     lhs.sort()
     if any(x == y for x, y in zip(lhs, lhs[1:])):
         raise EngineError("shape enumeration produced duplicate carriers")

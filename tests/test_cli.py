@@ -465,6 +465,9 @@ def test_text_format(corpus_dir, capsys):
      ["counit-check", "--bound", "3", "double_globe.json"], 0),
     ("carriers_unknown_state",
      ["carriers", "--from", "zz", "--to", "bot", "square.json"], 2),
+    ("counit_loop_heavy_b5",
+     ["counit-check", "--bound", "5", "loop_heavy.json"], 0),
+    ("counit_grid21_b4", ["counit-check", "--bound", "4", "grid21.json"], 0),
 ])
 def test_text_format_nested_reports(corpus_dir, capsys, golden, argv,
                                     want_status):

@@ -255,8 +255,11 @@ def test_counit_check_on_random_complexes(source, bound):
 
 
 def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
-    # every shape of every step is built, tested, realized and compared,
-    # and every base slot is checked against both complexes of its step
+    # every shape a step adds (k >= 1 passes through its cell) is built,
+    # tested, realized and compared; a k=0 shape, a single base run that
+    # realizes to itself and was witnessed at the step attaching its last
+    # cell, is not rebuilt, but its slot path is still checked.  Every base
+    # slot is checked against both complexes of its step
     from random import Random
 
     import dipath.mooreflow as mf
@@ -268,10 +271,10 @@ def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
     check_pushout, realize = reedy._check_pushout, reedy.realize
     is_simplified, check = reedy.is_simplified, Complex.check_normal_path
 
-    def step_spy(base, pushout, cell, bound, paths):
+    def step_spy(base, pushout, cell, bound, paths, new_only):
         log.append({"base": base, "pushout": pushout, "simplified": 0,
                     "realized": 0, "slots": 0, "on_base": 0, "on_pushout": 0})
-        return check_pushout(base, pushout, cell, bound, paths)
+        return check_pushout(base, pushout, cell, bound, paths, new_only)
 
     def simplified_spy(elem, base, cell):
         log[-1]["simplified"] += 1
@@ -305,12 +308,75 @@ def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
         for step, seen in zip(report["steps"], log):
             assert seen["pushout"].desc.cells == (
                 seen["base"].desc.cells + (cx.cell(step["cell"]),))
-            shapes = len(step["lhs_carriers"])
-            assert seen["simplified"] == seen["realized"] == shapes
-            assert seen["on_base"] == seen["on_pushout"] == seen["slots"]
+            new = sum(step["cell"] in w for w in step["lhs_carriers"])
+            old = len(step["lhs_carriers"]) - new
+            assert seen["simplified"] == seen["realized"] == new
+            assert seen["on_base"] == seen["on_pushout"] == (
+                seen["slots"] + old)
         # the pushout of each step is the base of the next
         for prev, nxt in zip(log, log[1:]):
             assert nxt["base"] is prev["pushout"]
+
+
+@pytest.mark.parametrize("source", sorted(CORPUS) + list(range(6)))
+def test_pushout_check_alone_witnesses_every_shape(monkeypatch, source):
+    # the stand-alone check has no earlier step, so on every prefix it
+    # builds, tests and realizes a witness for every shape, k=0 included
+    import dipath.reedy as reedy
+
+    seen = {}
+    is_simplified, realize = reedy.is_simplified, reedy.realize
+
+    def simplified_spy(elem, base, cell):
+        seen["simplified"] += 1
+        return is_simplified(elem, base, cell)
+
+    def realize_spy(elem, pushout, cell_id):
+        seen["realized"] += 1
+        seen["runs"] += (len(elem.entries) == 1
+                         and isinstance(elem.entries[0], reedy.APath))
+        return realize(elem, pushout, cell_id)
+
+    monkeypatch.setattr(reedy, "is_simplified", simplified_spy)
+    monkeypatch.setattr(reedy, "realize", realize_spy)
+    cx = (build(source) if isinstance(source, str)
+          else rand_loopfree_complex(Random(source)))
+    cells = cx.desc.cells
+    for i, cell in enumerate(cells):
+        seen.update(simplified=0, realized=0, runs=0)
+        base = validate(ComplexDesc(cx.states, cells[:i]))
+        report = pushout_check(base, cell, 5)
+        shapes = report["lhs_carriers"]
+        assert report["bijection"]
+        assert seen["simplified"] == seen["realized"] == len(shapes)
+        assert seen["runs"] == sum(cell.id not in w for w in shapes)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.one_of(st.integers(0, 2**32 - 1), st.just("loop_heavy")),
+       st.integers(0, 6))
+@example("loop_heavy", 6)
+def test_counit_steps_split_carriers_into_old_and_new(source, bound):
+    # the counting half of the counit check's lemma: the k=0 words of a
+    # step are the carriers of its base, and the k >= 1 words of all the
+    # steps are the carriers of the whole complex, each exactly once
+    from dipath.cellcomplex import prefix_complexes
+
+    cx = (build(source) if isinstance(source, str)
+          else rand_loopfree_complex(Random(source)))
+    report = counit_check(cx, bound)
+    assert report["ok"]
+
+    def carriers(px):
+        return sorted(list(w) for ws in px.carrier_table(bound).values()
+                      for w in ws)
+
+    new = []
+    for step, base in zip(report["steps"], prefix_complexes(cx.desc)):
+        assert [w for w in step["lhs_carriers"]
+                if step["cell"] not in w] == carriers(base)
+        new += [w for w in step["lhs_carriers"] if step["cell"] in w]
+    assert sorted(new) == carriers(cx)
 
 
 def test_counit_report_shares_equal_carrier_lists(corpus_dir, capsys):
@@ -365,9 +431,9 @@ def _steps_until_raise(monkeypatch, cx, bound, error):
     began = []
     check_pushout = mf._check_pushout
 
-    def step_spy(base, pushout, cell, bound, paths):
+    def step_spy(base, pushout, cell, bound, paths, new_only):
         began.append(cell.id)
-        return check_pushout(base, pushout, cell, bound, paths)
+        return check_pushout(base, pushout, cell, bound, paths, new_only)
 
     monkeypatch.setattr(mf, "_check_pushout", step_spy)
     with pytest.raises(error):

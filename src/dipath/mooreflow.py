@@ -22,7 +22,7 @@ from .errors import (
 )
 from .gspace import FreeGSpace, free, pair_label
 from .rational import format_fraction
-from .reedy import WitnessPaths, _check_pushout, pushout_complex
+from .reedy import Carried, WitnessPaths, _check_pushout, pushout_complex
 
 Word = tuple[str, ...]
 
@@ -137,22 +137,22 @@ def counit_check(cx: Complex, bound: int) -> dict:
     carrier.  A k=0 shape is a single base run, which no rewrite rule
     touches and which realizes to itself; its word is a carrier of the
     base, witnessed as a k >= 1 shape at the step that attached its last
-    cell, so every word of ``cx`` is witnessed exactly once.  A k=0 shape
-    still adds its word to the step's left list, which is compared with the
-    pushout's own carrier table, and its slot path is still checked against
-    both complexes of the step."""
-    steps = []
-    ok = True
-    paths = WitnessPaths(cx.desc.cells)
-    base = Complex(cx.states)
+    cell, so every word of ``cx`` is witnessed exactly once.  ``Carried``
+    hands a step's right list, its pushout's own carrier table, to the next
+    step, whose left list merges it with the new words, so the report's
+    inner lists are shared between steps.  A k=0 slot path is checked
+    against both complexes only at the first step whose base holds its
+    word, after the step that attached its last cell; every later complex
+    extends that pushout and inherits the acceptance."""
+    steps, paths = [], WitnessPaths(cx.desc.cells)
+    base, carried = Complex(cx.states), Carried()
     for cell in cx.desc.cells:
         pushout = pushout_complex(base, cell)
-        report = _check_pushout(base, pushout, cell, bound, paths,
-                                new_only=True)
-        ok = ok and report["bijection"]
-        steps.append(report)
+        steps.append(_check_pushout(base, pushout, cell, bound, paths,
+                                    carried))
         base = pushout
-    return {"bound": bound, "steps": steps, "ok": ok}
+    return {"bound": bound, "steps": steps,
+            "ok": all(step["bijection"] for step in steps)}
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain, islice
+from operator import eq
 from typing import Union
 
 from .cellcomplex import (
@@ -355,7 +357,7 @@ class WitnessPaths:
 
 
 def _shapes(base: Complex, cell: Cell, bound: int, paths: WitnessPaths,
-            through: CellPath):
+            through: CellPath, single_runs: bool):
     """Carrier words of the pushout generated from simplified shapes, each
     with the slots of its witness element.
 
@@ -365,7 +367,8 @@ def _shapes(base: Complex, cell: Cell, bound: int, paths: WitnessPaths,
     number k of passes: a nonempty run is the slot ``paths`` hands out for
     its word, an empty run holds no slot, and a pass holds ``through``.
     A last run ends at its start or at a state in its row of the table.  The
-    k=0 shapes, single runs of the base, come first.
+    k=0 shapes, single runs of the base, come first, and only with
+    ``single_runs``: a counit step has their words carried over already.
     """
     table = base.carrier_table(bound)
     rows = {a: {a: None} for a in base.states}
@@ -383,19 +386,25 @@ def _shapes(base: Complex, cell: Cell, bound: int, paths: WitnessPaths,
                 triple, entry = paths.slot(word, a, b)
                 yield word, (triple,), (entry,)
 
+    def passes(ends):
+        # the cuts one pass further on
+        return [(v, rest - len(run) - 1, w + run + (cell.id,),
+                 t + run_t + pass_t, e + run_e + pass_e)
+                for a, rest, w, t, e in ends
+                for run, run_t, run_e in runs(a, u, rest - 1)]
+
     # the shapes cut right after their k-th pass, for k = 0, 1, ...: the
     # state reached, the budget left, the word and the slots so far
     ends = [(start, bound, (), (), ()) for start in base.states]
+    if not single_runs:
+        ends = passes(ends)
     while ends:
         for a, rest, w, t, e in ends:
             for target in rows[a]:
                 for last, last_t, last_e in runs(a, target, rest):
                     if w or last:
                         yield w + last, t + last_t, e + last_e
-        ends = [(v, rest - len(run) - 1, w + run + (cell.id,),
-                 t + run_t + pass_t, e + run_e + pass_e)
-                for a, rest, w, t, e in ends
-                for run, run_t, run_e in runs(a, u, rest - 1)]
+        ends = passes(ends)
 
 
 def pushout_check(base: Complex, cell: Cell, bound: int) -> dict:
@@ -407,11 +416,21 @@ def pushout_check(base: Complex, cell: Cell, bound: int) -> dict:
     right list enumerates the pushout's carriers directly.
     """
     return _check_pushout(base, pushout_complex(base, cell), cell, bound,
-                          WitnessPaths(base.desc.cells), new_only=False)
+                          WitnessPaths(base.desc.cells), None)
+
+
+class Carried:
+    """What a counit step hands to the next: its right list, as sorted words
+    and as JSON lists, and its fresh runs, ``(word, start, end)`` for each
+    word through its cell."""
+
+    def __init__(self):
+        self.words, self.lists, self.fresh = [], [], []
 
 
 def _check_pushout(base: Complex, pushout: Complex, cell: Cell,
-                   bound: int, paths: WitnessPaths, new_only: bool) -> dict:
+                   bound: int, paths: WitnessPaths,
+                   carried: Carried | None) -> dict:
     """:func:`pushout_check` against an already built pushout, with witness
     slots taken from ``paths``, which must know every base cell.
 
@@ -422,22 +441,26 @@ def _check_pushout(base: Complex, pushout: Complex, cell: Cell,
     ``pushout`` (which checks each base slot again, against ``pushout``),
     and its carrier compared with the shape's word.
 
-    With ``new_only`` that runs for the shapes with k >= 1 passes only.  A
-    k=0 shape is one flag-0 slot of unit segments along a base carrier; no
-    rule applies to it (merging needs two adjacent flag-0 slots, lowering
-    acts on flag-1 slots), so it realizes to its slot path, and that word
-    was witnessed as a k >= 1 shape at the step attaching its last cell.
-    Its slot path is still checked against ``base`` and then ``pushout``,
-    so the next step, whose base is ``pushout``, accepts it from the memo,
-    and its word still joins the left list."""
+    With ``carried`` None that runs for every shape.  Otherwise ``base`` is
+    the pushout of the counit step that filled ``carried``, and only shapes
+    with k >= 1 passes are witnessed (see :func:`counit_check`): a k=0
+    shape is one flag-0 slot along a base carrier, which no rule touches
+    (merging needs two adjacent flag-0 slots, lowering acts on flag-1
+    slots), so it realizes to its slot path.  Its word comes from the
+    carried list, merged into the left list with its JSON list, and its
+    slot path is checked against ``base`` and then ``pushout`` only while
+    it is a fresh run.  The step leaves its own lists in ``carried``."""
+    single_runs, carried = carried is None, carried or Carried()
+    for word, a, b in carried.fresh:
+        path = paths.slot(word, a, b)[1].path
+        pushout.check_normal_path(base.check_normal_path(path))
     through = CellPath((_ZERO,) * cell.disk_dim, _UNIT)
     u, v = cell.src, cell.dst
-    lhs = []
-    for word, triples, entries in _shapes(base, cell, bound, paths, through):
-        lhs.append(word)
-        if new_only and len(triples) == 1 and triples[0][1] == 0:
-            pushout.check_normal_path(base.check_normal_path(entries[0].path))
-            continue
+    new, fresh = [], []
+    for word, triples, entries in _shapes(base, cell, bound, paths, through,
+                                          single_runs):
+        new.append(word)
+        fresh.append((word, triples[0][0], triples[-1][2]))
         elem = make_elem(make_obj(u, v, triples), entries, base)
         if not is_simplified(elem, base, cell):
             raise EngineError(f"witness for {word} is not simplified")
@@ -445,19 +468,21 @@ def _check_pushout(base: Complex, pushout: Complex, cell: Cell,
         if realized.carrier() != word:
             raise EngineError(
                 f"witness realization carrier {realized.carrier()} != {word}")
-    lhs.sort()
-    if any(x == y for x, y in zip(lhs, lhs[1:])):
+    lhs = sorted(carried.words + new)
+    if any(map(eq, lhs, islice(lhs, 1, None))):
         raise EngineError("shape enumeration produced duplicate carriers")
-    rhs = sorted(word for words in pushout.carrier_table(bound).values()
-                 for word in words)
+    # lists sort as their tuples do, so the two sorts stay aligned
+    lhs_json = sorted(carried.lists + [list(w) for w in new])
+    rhs = sorted(chain.from_iterable(pushout.carrier_table(bound).values()))
     # equal sides share one list: printed the same, in half the memory
     bijection = lhs == rhs
-    lhs_json = [list(w) for w in lhs]
+    rhs_json = lhs_json if bijection else [list(w) for w in rhs]
+    carried.words, carried.lists, carried.fresh = rhs, rhs_json, fresh
     return {
         "cell": cell.id,
         "bound": bound,
         "lhs_carriers": lhs_json,
-        "rhs_carriers": lhs_json if bijection else [list(w) for w in rhs],
+        "rhs_carriers": rhs_json,
         "bijection": bijection,
     }
 

@@ -218,3 +218,41 @@ def rand_reedy_elem(rng: Random, cx, cell, max_entries=5):
         if ok:
             return make_elem(make_obj(u, v, triples), entries, cx)
     raise AssertionError("failed to sample a diagram element")
+
+
+def _grid_side(rng: Random, first, second):
+    """A length-one boundary through two edges, as a normalized composite
+    or as a reparametrized Moore chain, with seeded time laws."""
+    if rng.random() < 0.5:
+        return NormComp(Step(first, (), rand_pl(rng, 1, 1, 3)),
+                        Step(second, (), rand_pl(rng, 1, 1, 3)))
+    l1, l2 = rng.choice([F(1), F(1, 2), F(3, 2)]), rng.choice([F(1), F(2)])
+    body = Moore(Step(first, (), rand_pl(rng, l1, 1, 3)),
+                 Step(second, (), rand_pl(rng, l2, 1, 3)))
+    return Repar(body, rand_pl(rng, 1, l1 + l2, 3))
+
+
+def seeded_grid(rng: Random, n: int, m: int, filled: bool = True):
+    """The n x m grid complex: states s{i}_{j}, edges h{i}_{j} (rightwards)
+    and v{i}_{j} (upwards), and, when filled, one globe g{i}_{j} per
+    square.  Edges come first, then the globes, both in row-major order; the
+    seed picks each globe's boundary forms, their time laws and which side
+    is the lower boundary."""
+    from dipath.cellcomplex import Cell, ComplexDesc, validate
+
+    states = tuple(f"s{i}_{j}" for i in range(n + 1) for j in range(m + 1))
+    cells = []
+    for i in range(n + 1):
+        for j in range(m + 1):
+            if j < m:
+                cells.append(Cell(f"h{i}_{j}", 0, f"s{i}_{j}", f"s{i}_{j+1}"))
+            if i < n:
+                cells.append(Cell(f"v{i}_{j}", 0, f"s{i}_{j}", f"s{i+1}_{j}"))
+    for i in range(n if filled else 0):
+        for j in range(m):
+            right = _grid_side(rng, f"h{i}_{j}", f"v{i}_{j+1}")
+            up = _grid_side(rng, f"v{i}_{j}", f"h{i+1}_{j}")
+            minus, plus = (right, up) if rng.random() < 0.5 else (up, right)
+            cells.append(Cell(f"g{i}_{j}", 1, f"s{i}_{j}", f"s{i+1}_{j+1}",
+                              boundary_minus=minus, boundary_plus=plus))
+    return validate(ComplexDesc(states, tuple(cells)))

@@ -481,6 +481,26 @@ def test_text_format_nested_reports(corpus_dir, capsys, golden, argv,
     assert out == want
 
 
+def test_counit_json_on_a_seeded_grid(tmp_path, capsys):
+    # the JSON bytes of a counit check on a seeded 2x2 grid at a bound that
+    # cuts its longest carriers; the expected bytes are kept under
+    # tests/golden
+    from random import Random
+
+    from dipath.cellcomplex import complex_to_json
+    from helpers import seeded_grid
+
+    cx = seeded_grid(Random("grid:3"), 2, 2)
+    path = tmp_path / "grid22.json"
+    path.write_text(json.dumps(complex_to_json(cx.desc), sort_keys=True),
+                    encoding="utf-8")
+    status, out = invoke(capsys, "counit-check", "--bound", "3", str(path))
+    want = (Path(__file__).parent / "golden" / "counit_seeded_grid22_b3.json"
+            ).read_text(encoding="utf-8")
+    assert status == 0
+    assert out == want
+
+
 def test_module_entry_point(corpus_dir):
     proc = subprocess.run(
         [sys.executable, "-m", "dipath", "validate",

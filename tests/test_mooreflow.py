@@ -254,6 +254,31 @@ def test_counit_check_on_random_complexes(source, bound):
         for i, cell in enumerate(cells)]
 
 
+@pytest.mark.parametrize("source", sorted(CORPUS) + list(range(6))
+                         + ["grid33"])
+def test_counit_steps_equal_stand_alone_pushout_checks(source):
+    # a step takes its k=0 words from the step before and checks only its
+    # fresh runs' slots; the stand-alone check enumerates and witnesses
+    # every shape on a freshly validated prefix
+    from helpers import seeded_grid
+
+    if source == "grid33":
+        cx = seeded_grid(Random("grid:7:0"), 3, 3)
+    elif isinstance(source, str):
+        cx = build(source)
+    else:
+        cx = rand_loopfree_complex(Random(source))
+    cells = cx.desc.cells
+    prefixes = [validate(ComplexDesc(cx.states, cells[:i]))
+                for i in range(len(cells))]
+    for bound in (0, 2, 5):
+        report = counit_check(cx, bound)
+        assert report["ok"]
+        assert len(report["steps"]) == len(cells)
+        for step, base, cell in zip(report["steps"], prefixes, cells):
+            assert step == pushout_check(base, cell, bound)
+
+
 def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
     # every shape a step adds (k >= 1 passes through its cell) is built,
     # tested, realized and compared; a k=0 shape, a single base run that
@@ -309,10 +334,12 @@ def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
             assert seen["pushout"].desc.cells == (
                 seen["base"].desc.cells + (cx.cell(step["cell"]),))
             new = sum(step["cell"] in w for w in step["lhs_carriers"])
-            old = len(step["lhs_carriers"]) - new
+            last = [c.id for c in seen["base"].desc.cells[-1:]]
+            fresh = sum(step["cell"] not in w and any(c in w for c in last)
+                        for w in step["lhs_carriers"])
             assert seen["simplified"] == seen["realized"] == new
             assert seen["on_base"] == seen["on_pushout"] == (
-                seen["slots"] + old)
+                seen["slots"] + fresh)
         # the pushout of each step is the base of the next
         for prev, nxt in zip(log, log[1:]):
             assert nxt["base"] is prev["pushout"]

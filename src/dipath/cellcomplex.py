@@ -114,9 +114,7 @@ class NormalPath:
         return sum((s.length for s in self.segs), Fraction(0))
 
     def carrier(self) -> tuple[str, ...]:
-        return self._carrier
-
-    _carrier = cached_property(lambda self: tuple(s.cell for s in self.segs))
+        return tuple(s.cell for s in self.segs)
 
 
 def np_to_expr(np: NormalPath) -> PathExpr:
@@ -400,7 +398,7 @@ class Complex:
 
     def eval_path(self, p, t):
         """The state at a junction time, else (cell, z, globe coordinate)."""
-        np = p if isinstance(p, NormalPath) else self.normalize(p)
+        np = self.normalize(p)
         t = Fraction(t)
         if t < 0 or t > np.total_len:
             raise OutOfDomainError(f"{t} outside [0, {np.total_len}]")

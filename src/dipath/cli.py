@@ -61,13 +61,13 @@ def _render_text(value, indent=0) -> list[str]:
     pad = "  " * indent
     if isinstance(value, dict):
         items = [(f"{key}:", value[key]) for key in sorted(value)]
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         items = [("-", inner) for inner in value]
     else:
         return [f"{pad}{json.dumps(value)}"]
     lines = []
     for head, inner in items:
-        if isinstance(inner, (dict, list)):
+        if isinstance(inner, (dict, list, tuple)):
             lines.append(f"{pad}{head}")
             lines.extend(_render_text(inner, indent + 1))
         else:
@@ -111,7 +111,7 @@ def _cmd_carriers(args) -> tuple[dict, int]:
     cx = _load_complex(args.complex)
     words = cx.enumerate_carriers(args.src, args.dst, args.bound)
     return {"from": args.src, "to": args.dst, "bound": args.bound,
-            "carriers": [list(w) for w in words]}, 0
+            "carriers": words}, 0
 
 
 def _cmd_fundcat(args) -> tuple[dict, int]:

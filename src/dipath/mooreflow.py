@@ -22,7 +22,7 @@ from .errors import (
 )
 from .gspace import FreeGSpace, free, pair_label
 from .rational import format_fraction
-from .reedy import Carried, WitnessPaths, _check_pushout, pushout_complex
+from .reedy import WitnessPaths, _check_pushout, pushout_complex
 
 Word = tuple[str, ...]
 
@@ -137,19 +137,21 @@ def counit_check(cx: Complex, bound: int) -> dict:
     carrier.  A k=0 shape is a single base run, which no rewrite rule
     touches and which realizes to itself; its word is a carrier of the
     base, witnessed as a k >= 1 shape at the step that attached its last
-    cell, so every word of ``cx`` is witnessed exactly once.  ``Carried``
-    hands a step's right list, its pushout's own carrier table, to the next
-    step, whose left list merges it with the new words, so the report's
-    inner lists are shared between steps.  A k=0 slot path is checked
-    against both complexes only at the first step whose base holds its
-    word, after the step that attached its last cell; every later complex
-    extends that pushout and inherits the acceptance."""
+    cell, so every word of ``cx`` is witnessed exactly once.  A step hands
+    its right list, its pushout's own carrier table, to the next step, whose
+    left list merges it with the new words, so the word tuples of the
+    report are shared between steps, and an equal right list is the left
+    list itself.  A k=0 slot path is checked against both complexes only
+    at the first step whose base holds its word, after the step that
+    attached its last cell; every later complex extends that pushout and
+    inherits the acceptance."""
     steps, paths = [], WitnessPaths(cx.desc.cells)
-    base, carried = Complex(cx.states), Carried()
+    base, carried = Complex(cx.states), ([], [])
     for cell in cx.desc.cells:
         pushout = pushout_complex(base, cell)
-        steps.append(_check_pushout(base, pushout, cell, bound, paths,
-                                    carried))
+        step, carried = _check_pushout(base, pushout, cell, bound, paths,
+                                       carried)
+        steps.append(step)
         base = pushout
     return {"bound": bound, "steps": steps,
             "ok": all(step["bijection"] for step in steps)}

@@ -413,26 +413,22 @@ def pushout_check(base: Complex, cell: Cell, bound: int) -> dict:
     The left list enumerates carrier words from simplified element shapes,
     instantiating one witness element per shape and checking that it is a
     rewriting fixpoint whose realization has the predicted carrier.  The
-    right list enumerates the pushout's carriers directly.
+    right list enumerates the pushout's carriers directly.  Both are sorted
+    lists of word tuples, which JSON prints as arrays.
     """
     return _check_pushout(base, pushout_complex(base, cell), cell, bound,
-                          WitnessPaths(base.desc.cells), None)
-
-
-class Carried:
-    """What a counit step hands to the next: its right list, as sorted words
-    and as JSON lists, and its fresh runs, ``(word, start, end)`` for each
-    word through its cell."""
-
-    def __init__(self):
-        self.words, self.lists, self.fresh = [], [], []
+                          WitnessPaths(base.desc.cells), None)[0]
 
 
 def _check_pushout(base: Complex, pushout: Complex, cell: Cell,
                    bound: int, paths: WitnessPaths,
-                   carried: Carried | None) -> dict:
+                   carried: tuple[list, list] | None
+                   ) -> tuple[dict, tuple[list, list]]:
     """:func:`pushout_check` against an already built pushout, with witness
-    slots taken from ``paths``, which must know every base cell.
+    slots taken from ``paths``, which must know every base cell; the report
+    comes with the pair ``(words, fresh)`` the next counit step carries: the
+    step's right list and its fresh runs, ``(word, start, end)`` for each
+    word through its cell.
 
     The shapes share their slot triples, entries and paths (one per run
     word, from ``paths``) and one pass through the cell.  A witness element
@@ -442,23 +438,23 @@ def _check_pushout(base: Complex, pushout: Complex, cell: Cell,
     and its carrier compared with the shape's word.
 
     With ``carried`` None that runs for every shape.  Otherwise ``base`` is
-    the pushout of the counit step that filled ``carried``, and only shapes
-    with k >= 1 passes are witnessed (see :func:`counit_check`): a k=0
-    shape is one flag-0 slot along a base carrier, which no rule touches
-    (merging needs two adjacent flag-0 slots, lowering acts on flag-1
-    slots), so it realizes to its slot path.  Its word comes from the
-    carried list, merged into the left list with its JSON list, and its
+    the pushout of the counit step that returned ``carried``, and only
+    shapes with k >= 1 passes are witnessed (see :func:`counit_check`): a
+    k=0 shape is one flag-0 slot along a base carrier, which no rule
+    touches (merging needs two adjacent flag-0 slots, lowering acts on
+    flag-1 slots), so it realizes to its slot path.  Its word comes from the
+    carried words, merged into the left list as the same tuple, and its
     slot path is checked against ``base`` and then ``pushout`` only while
-    it is a fresh run.  The step leaves its own lists in ``carried``."""
-    single_runs, carried = carried is None, carried or Carried()
-    for word, a, b in carried.fresh:
+    it is a fresh run."""
+    words, fresh = carried or ([], [])
+    for word, a, b in fresh:
         path = paths.slot(word, a, b)[1].path
         pushout.check_normal_path(base.check_normal_path(path))
     through = CellPath((_ZERO,) * cell.disk_dim, _UNIT)
     u, v = cell.src, cell.dst
     new, fresh = [], []
     for word, triples, entries in _shapes(base, cell, bound, paths, through,
-                                          single_runs):
+                                          carried is None):
         new.append(word)
         fresh.append((word, triples[0][0], triples[-1][2]))
         elem = make_elem(make_obj(u, v, triples), entries, base)
@@ -468,23 +464,21 @@ def _check_pushout(base: Complex, pushout: Complex, cell: Cell,
         if realized.carrier() != word:
             raise EngineError(
                 f"witness realization carrier {realized.carrier()} != {word}")
-    lhs = sorted(carried.words + new)
+    lhs = sorted(words + new)
     if any(map(eq, lhs, islice(lhs, 1, None))):
         raise EngineError("shape enumeration produced duplicate carriers")
-    # lists sort as their tuples do, so the two sorts stay aligned
-    lhs_json = sorted(carried.lists + [list(w) for w in new])
     rhs = sorted(chain.from_iterable(pushout.carrier_table(bound).values()))
     # equal sides share one list: printed the same, in half the memory
     bijection = lhs == rhs
-    rhs_json = lhs_json if bijection else [list(w) for w in rhs]
-    carried.words, carried.lists, carried.fresh = rhs, rhs_json, fresh
+    if bijection:
+        rhs = lhs
     return {
         "cell": cell.id,
         "bound": bound,
-        "lhs_carriers": lhs_json,
-        "rhs_carriers": rhs_json,
+        "lhs_carriers": lhs,
+        "rhs_carriers": rhs,
         "bijection": bijection,
-    }
+    }, (rhs, fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI behaviour: reports, exit codes, and determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import dipath
 from dipath.cellcomplex import Complex, NormalPath
 from dipath.cli import run
+from fixture_lib import CORPUS
 
 
 def invoke(capsys, *argv):
@@ -500,6 +502,36 @@ def test_counit_json_on_a_seeded_grid(tmp_path, capsys):
     assert status == 0
     assert out == want
 
+
+
+def corpus_commands():
+    """The argv of every command of the corpus digest, the complex last as
+    a fixture file name: per fixture and format, ``validate``, ``fundcat``,
+    ``counit-check`` at bounds 0, 3 and 5, and ``pushout-check`` on each of
+    the last two cells at the same bounds."""
+    for name, desc in CORPUS.items():
+        commands = [["validate"], ["fundcat"]]
+        commands += [["counit-check", "--bound", b] for b in ("0", "3", "5")]
+        commands += [["pushout-check", "--cell", c.id, "--bound", b]
+                     for c in desc.cells[-2:] for b in ("0", "3", "5")]
+        for fmt in ("json", "text"):
+            for command in commands:
+                yield ["--format", fmt, *command, f"{name}.json"]
+
+
+def test_cli_corpus_digests(corpus_dir, capsys):
+    # one line per command: the sha256 of its stdout, its exit status and
+    # its argv; the expected lines are kept under tests/golden
+    want = (Path(__file__).parent / "golden" / "cli_corpus.sha256"
+            ).read_text(encoding="utf-8").splitlines()
+    got = []
+    for argv in corpus_commands():
+        status, out = invoke(capsys, *argv[:-1], str(corpus_dir / argv[-1]))
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        got.append(f"{digest} {status} {' '.join(argv)}")
+    for line, expected in zip(got, want):
+        assert line == expected
+    assert len(got) == len(want)
 
 def test_module_entry_point(corpus_dir):
     proc = subprocess.run(

@@ -296,10 +296,10 @@ def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
     check_pushout, realize = reedy._check_pushout, reedy.realize
     is_simplified, check = reedy.is_simplified, Complex.check_normal_path
 
-    def step_spy(base, pushout, cell, bound, paths, new_only):
+    def step_spy(base, pushout, cell, bound, paths, carried):
         log.append({"base": base, "pushout": pushout, "simplified": 0,
                     "realized": 0, "slots": 0, "on_base": 0, "on_pushout": 0})
-        return check_pushout(base, pushout, cell, bound, paths, new_only)
+        return check_pushout(base, pushout, cell, bound, paths, carried)
 
     def simplified_spy(elem, base, cell):
         log[-1]["simplified"] += 1
@@ -395,7 +395,7 @@ def test_counit_steps_split_carriers_into_old_and_new(source, bound):
     assert report["ok"]
 
     def carriers(px):
-        return sorted(list(w) for ws in px.carrier_table(bound).values()
+        return sorted(w for ws in px.carrier_table(bound).values()
                       for w in ws)
 
     new = []
@@ -407,9 +407,11 @@ def test_counit_steps_split_carriers_into_old_and_new(source, bound):
 
 
 def test_counit_report_shares_equal_carrier_lists(corpus_dir, capsys):
-    # a step that holds reports one list under both keys; the CLI still
-    # prints both in full
+    # a step that holds reports one list under both keys, and its k=0 words
+    # are the word tuples of the step before; the CLI still prints both
+    # lists in full, each word as an array
     import json
+    import operator
 
     from dipath.cellcomplex import prefix_complexes
     from dipath.cli import run
@@ -418,17 +420,22 @@ def test_counit_report_shares_equal_carrier_lists(corpus_dir, capsys):
         cx = build(name)
         report = counit_check(cx, 4)
         pushouts = list(prefix_complexes(cx.desc))[1:]
-        want = [sorted(list(w) for words in px.carrier_table(4).values()
+        want = [sorted(w for words in px.carrier_table(4).values()
                        for w in words) for px in pushouts]
         assert report["ok"]
         for step, carriers in zip(report["steps"], want):
             assert step["rhs_carriers"] is step["lhs_carriers"]
             assert step["lhs_carriers"] == carriers
+        for prev, step in zip(report["steps"], report["steps"][1:]):
+            old = [w for w in step["lhs_carriers"] if step["cell"] not in w]
+            assert len(old) == len(prev["rhs_carriers"])
+            assert all(map(operator.is_, old, prev["rhs_carriers"]))
         assert run(["counit-check", "--bound", "4",
                     str(corpus_dir / f"{name}.json")]) == 0
         printed = json.loads(capsys.readouterr().out)
-        assert printed == report
-        for step, carriers in zip(printed["steps"], want):
+        assert printed == json.loads(json.dumps(report))
+        for step, carriers in zip(printed["steps"],
+                                  json.loads(json.dumps(want))):
             assert step["lhs_carriers"] == step["rhs_carriers"] == carriers
 
 
@@ -458,9 +465,9 @@ def _steps_until_raise(monkeypatch, cx, bound, error):
     began = []
     check_pushout = mf._check_pushout
 
-    def step_spy(base, pushout, cell, bound, paths, new_only):
+    def step_spy(base, pushout, cell, bound, paths, carried):
         began.append(cell.id)
-        return check_pushout(base, pushout, cell, bound, paths, new_only)
+        return check_pushout(base, pushout, cell, bound, paths, carried)
 
     monkeypatch.setattr(mf, "_check_pushout", step_spy)
     with pytest.raises(error):

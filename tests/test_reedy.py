@@ -404,8 +404,8 @@ def test_pushout_check_empty_base():
     base = validate(ComplexDesc(("0", "1"), ()))
     report = pushout_check(base, edge("e", "0", "1"), 4)
     assert report["bijection"]
-    assert report["lhs_carriers"] == [["e"]]
-    assert report["rhs_carriers"] == [["e"]]
+    assert report["lhs_carriers"] == [("e",)]
+    assert report["rhs_carriers"] == [("e",)]
 
 
 def test_pushout_check_triangle_fill():
@@ -418,7 +418,7 @@ def test_pushout_check_triangle_fill():
                  NormComp(estep("a"), estep("b")), estep("e"))
     report = pushout_check(base, fill, 4)
     assert report["bijection"]
-    assert ["t"] in report["lhs_carriers"]
+    assert ("t",) in report["lhs_carriers"]
 
 
 def test_pushout_check_loop_cell():
@@ -426,8 +426,8 @@ def test_pushout_check_loop_cell():
     report = pushout_check(base, edge("l", "0", "0"), 3)
     assert report["bijection"]
     assert sorted(report["rhs_carriers"]) == sorted(
-        [["e"], ["l"], ["l", "e"], ["l", "l"], ["l", "l", "e"],
-         ["l", "l", "l"]])
+        [("e",), ("l",), ("l", "e"), ("l", "l"), ("l", "l", "e"),
+         ("l", "l", "l")])
 
 
 def test_pushout_check_globe_fill():
@@ -436,7 +436,7 @@ def test_pushout_check_globe_fill():
     fill = globe("g", "0", "1", estep("em"), estep("ep"))
     report = pushout_check(base, fill, 4)
     assert report["bijection"]
-    assert report["rhs_carriers"] == [["em"], ["ep"], ["g"]]
+    assert report["rhs_carriers"] == [("em",), ("ep",), ("g",)]
 
 
 def test_wrong_witness_carrier_raises_engine_error(monkeypatch):

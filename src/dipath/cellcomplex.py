@@ -39,10 +39,12 @@ from .errors import (
     UnknownStateError,
 )
 from .rational import format_fraction, parse_fraction
-from .reparam import PLHomeo, absorb, inverse, mu, pl_eval, pl_from_json
+from .reparam import (PLHomeo, absorb, compose, inverse, mu, pl_eval,
+                      pl_from_json, split)
 
 # t |-> 2t, the time law of every normalized concatenation (shared: frozen)
 _DOUBLING = inverse(mu(2))
+_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +144,29 @@ def disk_side(z: tuple[Fraction, ...]) -> int:
     return (num > den) - (num < den)
 
 
+def _meet(end: str, start: str) -> None:
+    if end != start:
+        raise EndpointMismatchError(f"cannot concatenate: {end} != {start}")
+
+
+def _lands_on(phi: PLHomeo, length: Fraction) -> None:
+    if phi.dst_len != length:
+        raise LengthMismatchError(
+            f"phi lands in [0,{phi.dst_len}] but the path runs on "
+            f"[0,{length}]")
+
+
 def concat(left: NormalPath, right: NormalPath) -> NormalPath:
     """Length-adding concatenation of two normal forms: their segments
     joined, which is again a normal form, once the endpoints meet."""
-    if left.end != right.start:
-        raise EndpointMismatchError(
-            f"cannot concatenate: {left.end} != {right.start}")
+    _meet(left.end, right.start)
     return NormalPath(left.start, right.end, left.segs + right.segs)
 
 
 def repar_normal(np: NormalPath, phi: PLHomeo) -> NormalPath:
     """Reparametrize a normal form by phi, whose target interval must be the
     path's time interval: :func:`absorb` phi into the segments' time laws."""
-    if phi.dst_len != np.total_len:
-        raise LengthMismatchError(
-            f"phi lands in [0,{phi.dst_len}] but the path runs on "
-            f"[0,{np.total_len}]")
+    _lands_on(phi, np.total_len)
     chis = absorb(phi, [s.chi for s in np.segs])
     return NormalPath(np.start, np.end, tuple(
         Seg(s.cell, s.z, chi) for s, chi in zip(np.segs, chis)))
@@ -352,44 +361,90 @@ class Complex:
     # -- normalization
 
     def normalize(self, expr: PathExpr) -> NormalPath:
+        """The unique normal form of ``expr``, in two passes over the tree.
+
+        Bottom-up, every check is made and each node's endpoints and length
+        found.  Top-down, each subtree's pending map is carried (none at the
+        root): a Repar composes it with phi, a NormComp with t |-> 2t, a
+        concatenation splits it at its two lengths, and a step composes it
+        into its time law once; a boundary step reparametrizes its attached
+        boundary by that law, and a nested ``NormalPath`` absorbs it.
+
+        This is the result of the bottom-up fold, where each level absorbs
+        its map into every segment below it: each segment gets the same
+        blocks of the same maps, composition is associative, a block of a
+        composite is the composite of the blocks, and canonical PL forms are
+        unique.  The checks run in the fold's order (left subtree, right
+        subtree, node), so the fold's first fault raises, with its class and
+        message.
+        """
         if isinstance(expr, NormalPath):
             return expr
+        cuts: dict[int, tuple[Fraction, Fraction]] = {}
+        start, end, _ = self._measure(expr, cuts)
+        segs: list[Seg] = []
+        self._lay(expr, None, cuts, segs)
+        return NormalPath(start, end, tuple(segs))
+
+    def _measure(self, expr, cuts: dict) -> tuple[str, str, Fraction]:
+        """Check ``expr`` bottom-up and return its endpoints and length;
+        keep each concatenation's two lengths in ``cuts`` by node id."""
         if isinstance(expr, Step):
-            return self._normalize_step(expr)
-        if isinstance(expr, Moore):
-            return concat(self.normalize(expr.left), self.normalize(expr.right))
-        if isinstance(expr, NormComp):
-            left = self.normalize(expr.left)
-            right = self.normalize(expr.right)
-            for side in (left, right):
-                if side.total_len != 1:
+            cell = self.cell(expr.cell)
+            if len(expr.z) != cell.disk_dim:
+                raise BadDimError(
+                    f"step in {cell.id}: point has {len(expr.z)} coordinates, "
+                    f"cell disk dimension is {cell.disk_dim}")
+            if expr.chi.pts[-1][2:] != (1, 1):
+                raise BadLengthError(f"step time law must land in [0,1], "
+                                     f"got [0,{expr.chi.dst_len}]")
+            if disk_side(expr.z) > 0:
+                raise OutOfDomainError(f"point {expr.z} outside the closed disk")
+            return cell.src, cell.dst, expr.chi.src_len
+        if isinstance(expr, (Moore, NormComp)):
+            start, mid, left = self._measure(expr.left, cuts)
+            meet, end, right = self._measure(expr.right, cuts)
+            glued = isinstance(expr, NormComp)
+            for length in (left, right) if glued else ():
+                if length != 1:
                     raise BadLengthError(
                         "normalized concatenation needs length-1 operands, "
-                        f"got {side.total_len}")
-            return repar_normal(concat(left, right), _DOUBLING)
+                        f"got {length}")
+            _meet(mid, meet)
+            cuts[id(expr)] = left, right
+            return start, end, _ONE if glued else left + right
         if isinstance(expr, Repar):
-            child = self.normalize(expr.path)
-            return repar_normal(child, expr.phi)
+            start, end, length = self._measure(expr.path, cuts)
+            _lands_on(expr.phi, length)
+            return start, end, expr.phi.src_len
+        if isinstance(expr, NormalPath):
+            return expr.start, expr.end, expr.total_len
         raise BadInputError(f"not a path expression: {expr!r}")
 
-    def _normalize_step(self, step: Step) -> NormalPath:
-        cell = self.cell(step.cell)
-        if len(step.z) != cell.disk_dim:
-            raise BadDimError(
-                f"step in {cell.id}: point has {len(step.z)} coordinates, "
-                f"cell disk dimension is {cell.disk_dim}")
-        if step.chi.pts[-1][2:] != (1, 1):
-            raise BadLengthError(
-                f"step time law must land in [0,1], got [0,{step.chi.dst_len}]")
-        side = disk_side(step.z)
-        if side > 0:
-            raise OutOfDomainError(f"point {step.z} outside the closed disk")
-        if side < 0 or cell.disk_dim == 0:
-            return NormalPath(cell.src, cell.dst,
-                              (Seg(cell.id, step.z, step.chi),))
-        minus, plus = self.boundary_normal(cell.id)
-        boundary = minus if step.z[0] < 0 else plus
-        return repar_normal(boundary, step.chi)
+    def _lay(self, expr, law: Optional[PLHomeo], cuts: dict,
+             segs: list[Seg]) -> None:
+        """Append to ``segs`` the segments of the measured ``expr``
+        reparametrized by ``law`` (None: as they are)."""
+        if isinstance(expr, Step):
+            chi = expr.chi if law is None else compose(law, expr.chi)
+            cell = self._cells[expr.cell]
+            if cell.disk_dim == 0 or disk_side(expr.z) < 0:
+                segs.append(Seg(cell.id, expr.z, chi))
+            else:
+                minus, plus = self._boundaries[cell.id]
+                segs += repar_normal(minus if expr.z[0] < 0 else plus, chi).segs
+        elif isinstance(expr, (Moore, NormComp)):
+            if isinstance(expr, NormComp):
+                law = _DOUBLING if law is None else compose(law, _DOUBLING)
+            left, right = ((None, None) if law is None
+                           else split(law, cuts[id(expr)]))
+            self._lay(expr.left, left, cuts, segs)
+            self._lay(expr.right, right, cuts, segs)
+        elif isinstance(expr, Repar):
+            self._lay(expr.path, expr.phi if law is None
+                      else compose(law, expr.phi), cuts, segs)
+        else:  # a nested NormalPath, accepted as it is
+            segs += expr.segs if law is None else repar_normal(expr, law).segs
 
     def carrier(self, p: PathExpr) -> tuple[str, ...]:
         return self.normalize(p).carrier()

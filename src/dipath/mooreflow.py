@@ -171,9 +171,9 @@ class FlowPresentation:
         return self.homs.get((a, b), ())
 
     def to_json(self) -> dict:
-        homs = {f"{a}→{b}": [list(w) for w in words]
+        homs = {f"{a}→{b}": words
                 for (a, b), words in sorted(self.homs.items())}
-        comp = {f"{a}→{b}→{c}": [list(row) for row in table]
+        comp = {f"{a}→{b}→{c}": table
                 for (a, b, c), table in sorted(self.comp.items())}
         return {"objects": list(self.objects), "homs": homs, "comp": comp}
 

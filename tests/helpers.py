@@ -8,8 +8,24 @@ reference semantics against which normalization is judged.
 from fractions import Fraction as F
 from random import Random
 
-from dipath.cellcomplex import Moore, NormComp, NormalPath, Repar, Seg, Step
-from dipath.reparam import mu, pl_eval
+from dipath.cellcomplex import (
+    Moore,
+    NormComp,
+    NormalPath,
+    Repar,
+    Seg,
+    Step,
+    concat,
+    disk_side,
+    repar_normal,
+)
+from dipath.errors import (
+    BadDimError,
+    BadInputError,
+    BadLengthError,
+    OutOfDomainError,
+)
+from dipath.reparam import inverse, mu, pl_eval
 from dipath.sampling import (
     rand_fraction,
     rand_normal_path,
@@ -57,6 +73,158 @@ def oracle_eval(cx, expr, t):
     if isinstance(expr, Repar):
         return oracle_eval(cx, expr.path, pl_eval(expr.phi, t))
     raise TypeError(expr)
+
+
+def fold_normalize(cx, expr):
+    """The normal form of ``expr`` by the bottom-up fold: each node
+    normalizes its children, then absorbs its own map into every segment
+    below it.  The reference ``Complex.normalize`` must agree with: the same
+    path, or the same exception class and message."""
+    if isinstance(expr, NormalPath):
+        return expr
+    if isinstance(expr, Step):
+        cell = cx.cell(expr.cell)
+        if len(expr.z) != cell.disk_dim:
+            raise BadDimError(
+                f"step in {cell.id}: point has {len(expr.z)} coordinates, "
+                f"cell disk dimension is {cell.disk_dim}")
+        if expr.chi.pts[-1][2:] != (1, 1):
+            raise BadLengthError(
+                f"step time law must land in [0,1], got [0,{expr.chi.dst_len}]")
+        side = disk_side(expr.z)
+        if side > 0:
+            raise OutOfDomainError(f"point {expr.z} outside the closed disk")
+        if side < 0 or cell.disk_dim == 0:
+            return NormalPath(cell.src, cell.dst,
+                              (Seg(cell.id, expr.z, expr.chi),))
+        minus, plus = cx.boundary_normal(cell.id)
+        return repar_normal(minus if expr.z[0] < 0 else plus, expr.chi)
+    if isinstance(expr, Moore):
+        return concat(fold_normalize(cx, expr.left),
+                      fold_normalize(cx, expr.right))
+    if isinstance(expr, NormComp):
+        left = fold_normalize(cx, expr.left)
+        right = fold_normalize(cx, expr.right)
+        for side in (left, right):
+            if side.total_len != 1:
+                raise BadLengthError(
+                    "normalized concatenation needs length-1 operands, "
+                    f"got {side.total_len}")
+        return repar_normal(concat(left, right), inverse(mu(2)))
+    if isinstance(expr, Repar):
+        return repar_normal(fold_normalize(cx, expr.path), expr.phi)
+    raise BadInputError(f"not a path expression: {expr!r}")
+
+
+# the ways rand_fault_expr breaks a node
+FAULTS = ("unknown_cell", "arity", "outside_disk", "law_not_onto",
+          "normcomp_length", "repar_length", "endpoints")
+LENGTHS = (F(1), F(1, 2), F(3, 2), F(2))
+
+
+def rand_fault_expr(rng: Random, cx, src, depth, fault_rate, faults):
+    """A random path expression from state ``src`` of at most ``depth``
+    levels, with its end state and length, as (expr, end, length).  Each
+    node is broken with chance ``fault_rate`` in one of the ways in
+    ``FAULTS``; the kinds used are appended to ``faults``.  Steps through a
+    globe land on its boundary (z = -1 or 1) one time in four, and a leaf is
+    a nested normal path one time in eight."""
+    cells = cx.desc.cells
+    out = [c for c in cells if c.src == src]
+    if not out:  # a sink: the path leaves from elsewhere
+        out = list(cells)
+        faults.append("endpoints")
+    fault = rng.choice(FAULTS) if rng.random() < fault_rate else None
+    kind = "leaf" if depth == 0 else rng.choice(
+        ["leaf", "moore", "normcomp", "repar"])
+    if kind == "leaf" and rng.random() < 1 / 8:
+        word, state = [], src
+        for _ in range(rng.randrange(1, 4)):
+            arcs = [c for c in cells if c.src == state]
+            if not arcs:
+                break
+            word.append(rng.choice(arcs).id)
+            state = cx.cell(word[-1]).dst
+        if word:
+            length = rng.choice(LENGTHS)
+            return rand_normal_path(rng, cx, word, length), state, length
+    if kind == "leaf":
+        cell = rng.choice(out)
+        length = rng.choice(LENGTHS)
+        chi = rand_pl(rng, length, 1, 3)
+        if cell.disk_dim == 0:
+            z = ()
+        elif rng.random() < 1 / 4:
+            z = (rng.choice([F(-1), F(1)]),)
+        else:
+            z = (rand_fraction(rng, -1, 1),)
+        cid = cell.id
+        if fault == "unknown_cell":
+            cid = "nowhere"
+        elif fault == "arity":
+            z = z + (F(0),)
+        elif fault == "outside_disk" and cell.disk_dim == 1:
+            z = (rng.choice([F(-3, 2), F(5, 4)]),)
+        elif fault == "law_not_onto":
+            chi = rand_pl(rng, length, rng.choice([F(1, 2), F(2)]), 3)
+        else:
+            fault = None
+        if fault:
+            faults.append(fault)
+        return Step(cid, z, chi), cell.dst, length
+    left, mid, l_len = rand_fault_expr(rng, cx, src, depth - 1, fault_rate,
+                                       faults)
+    if kind == "repar":
+        new = rng.choice(LENGTHS)
+        lands = l_len + F(1, 2) if fault == "repar_length" else l_len
+        if fault == "repar_length":
+            faults.append(fault)
+        return Repar(left, rand_pl(rng, new, lands, 4)), mid, new
+    if fault == "endpoints":
+        others = [s for s in cx.states if s != mid]
+        if others:
+            mid = rng.choice(others)
+            faults.append(fault)
+    right, end, r_len = rand_fault_expr(rng, cx, mid, depth - 1, fault_rate,
+                                        faults)
+    if kind == "moore":
+        return Moore(left, right), end, l_len + r_len
+    sides = [(left, l_len), (right, r_len)]
+    if fault == "normcomp_length":
+        i = rng.randrange(2)
+        expr, length = sides[i]
+        sides[i] = (Repar(expr, rand_pl(rng, F(2), length, 3)), None)
+        faults.append(fault)
+    left, right = (expr if length in (None, 1)
+                   else Repar(expr, rand_pl(rng, 1, length, 3))
+                   for expr, length in sides)
+    return NormComp(left, right), end, F(1)
+
+
+def rand_tower(rng: Random, edges, depth):
+    """A left-nested NormComp tower over consecutive edges split into
+    ``depth`` runs; each part is a Moore chain of seeded steps rescaled onto
+    [0, 1] by a seeded Repar."""
+    cuts = sorted(rng.sample(range(1, len(edges)), depth - 1))
+    tower = None
+    for a, b in zip([0, *cuts], [*cuts, len(edges)]):
+        body, total = None, F(0)
+        for e in edges[a:b]:
+            length = rng.choice(LENGTHS)
+            step = Step(e, (), rand_pl(rng, length, 1, 4))
+            body = step if body is None else Moore(body, step)
+            total += length
+        part = Repar(body, rand_pl(rng, 1, total, 4))
+        tower = part if tower is None else NormComp(tower, part)
+    return tower
+
+
+def expr_nodes(expr):
+    """Every node of an expression tree, the root first."""
+    yield expr
+    for child in ((expr.left, expr.right) if isinstance(expr, (Moore, NormComp))
+                  else (expr.path,) if isinstance(expr, Repar) else ()):
+        yield from expr_nodes(child)
 
 
 def chain_carriers(chain_cx, i, j):

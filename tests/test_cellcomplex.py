@@ -31,6 +31,7 @@ from dipath.cellcomplex import (
 )
 from dipath.errors import (
     BadDimError,
+    BadInputError,
     BadLengthError,
     BoundaryEndpointMismatchError,
     EndpointMismatchError,
@@ -41,6 +42,7 @@ from dipath.errors import (
     UnknownCellError,
     UnknownStateError,
 )
+from dipath.mooreflow import chain_complex
 from dipath.reparam import compose, identity, inverse, make_pl, mu, tensor
 from dipath.sampling import rand_partition, rand_pl
 from fixture_lib import (
@@ -56,13 +58,19 @@ from fixture_lib import (
     square_desc,
 )
 from helpers import (
+    FAULTS,
     chain_carriers,
+    expr_nodes,
+    fold_normalize,
     oracle_eval,
     rand_composable_unit_paths,
+    rand_fault_expr,
     rand_normal_path,
     rand_times,
+    rand_tower,
     rand_unit_path_expr,
     scaled,
+    seeded_grid,
 )
 
 # ---------------------------------------------------------------------------
@@ -305,6 +313,108 @@ def test_out_of_disk_point_rejected():
         cx.normalize(Step("sq", (F(2),), identity(1)))
     with pytest.raises(BadDimError):
         cx.normalize(Step("sq", (), identity(1)))
+
+
+# ---------------------------------------------------------------------------
+# two-pass normalization against the bottom-up fold
+
+
+def _outcome(fn, expr):
+    try:
+        return fn(expr)
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+
+
+def _two_fault_cases():
+    """Trees with two faults each, and the error the fold meets first."""
+    cx = build("square")
+    long_a = Repar(estep("a"), mu(2))
+    return cx, [
+        # the left subtree before the right one
+        (Moore(Step("nowhere", (), identity(1)), Step("sq", (F(2),),
+                                                      identity(1))),
+         UnknownCellError),
+        (Moore(estep("a"), Moore(estep("c"), Step("sq", (), identity(1)))),
+         BadDimError),
+        # a NormComp's operand lengths before its endpoints
+        (NormComp(long_a, estep("c")), BadLengthError),
+        # a child before its parent
+        (Repar(Moore(estep("a"), estep("c")), mu(3)), EndpointMismatchError),
+        (NormComp(Repar(estep("a"), inverse(mu(3))), estep("b")),
+         LengthMismatchError),
+        (Moore(NormComp(estep("a"), "neither"), estep("q")), BadInputError),
+    ]
+
+
+def test_normalize_agrees_with_the_bottom_up_fold():
+    rng = Random(1515)
+    complexes = [build(name) for name in CORPUS] + [
+        seeded_grid(Random(seed), n, m)
+        for seed, n, m in ((3, 2, 2), (4, 1, 3), (5, 3, 3))]
+    cases = []
+    for cx in complexes:
+        for _ in range(120):
+            faults = []
+            expr, _, _ = rand_fault_expr(
+                rng, cx, rng.choice(cx.states), rng.randrange(7),
+                rng.choice([0, 0, 0.1, 0.25, 0.4]), faults)
+            cases.append((cx, expr, faults))
+    chain = chain_complex(12)
+    edges = [c.id for c in chain.desc.cells]
+    for depth in range(1, 13):
+        for _ in range(8):
+            cases.append((chain, rand_tower(rng, edges, depth), []))
+    square, pinned = _two_fault_cases()
+    cases += [(square, expr, []) for expr, _ in pinned]
+    errors, faults_seen, valid, two_faults = set(), set(), 0, 0
+    for cx, expr, faults in cases:
+        got = _outcome(cx.normalize, expr)
+        assert got == _outcome(lambda e: fold_normalize(cx, e), expr), expr
+        if isinstance(got, NormalPath):
+            valid += 1
+        else:
+            errors.add(got[0])
+        faults_seen.update(faults)
+        two_faults += len(faults) >= 2
+    for expr, error in pinned:
+        with pytest.raises(error):
+            square.normalize(expr)
+    nodes = [node for _, expr, _ in cases for node in expr_nodes(expr)]
+    assert len(cases) >= 2000 and 800 <= valid <= len(cases) - 500
+    assert two_faults >= 100
+    assert faults_seen >= set(FAULTS)
+    assert errors >= {UnknownCellError, BadDimError, OutOfDomainError,
+                      BadLengthError, LengthMismatchError,
+                      EndpointMismatchError, BadInputError}
+    assert any(isinstance(node, NormalPath) for node in nodes)
+    assert any(isinstance(node, Step) and len(node.z) == 1
+               and abs(node.z[0]) == 1 for node in nodes)
+
+
+def _tower_size(expr):
+    return sum(isinstance(node, (Step, Repar, NormComp))
+               for node in expr_nodes(expr))
+
+
+@pytest.mark.parametrize("depth", [2, 6, 12])
+def test_normalize_composes_each_map_once(monkeypatch, depth):
+    import dipath.cellcomplex
+    import dipath.reparam
+
+    calls = []
+
+    def counted(phi, psi):
+        calls.append(1)
+        return compose(phi, psi)
+
+    for module in (dipath.cellcomplex, dipath.reparam):
+        monkeypatch.setattr(module, "compose", counted, raising=False)
+    cx = chain_complex(12)
+    expr = rand_tower(Random(depth), [c.id for c in cx.desc.cells], depth)
+    nf = cx.normalize(expr)
+    assert 0 < len(calls) <= _tower_size(expr)
+    assert nf == fold_normalize(cx, expr)
 
 
 # ---------------------------------------------------------------------------

@@ -135,19 +135,29 @@ def test_non_string_element_names_are_rejected(corpus_dir, tmp_path, capsys,
     assert json.loads(out)["error"] == "bad_input"
 
 
-def deep_moore(depth):
-    step = json.dumps({"step": {"cell": "e", "z": [], "chi": {
-        "src": "1", "dst": "1", "breaks": [["0", "0"], ["1", "1"]]}}})
-    return '{"moore": [' * depth + step + (", " + step + "]}") * depth
+def deep_path(kind, depth):
+    """A path ``depth`` levels deep whose innermost Moore or NormComp
+    joins two steps that do not meet; a repar nest wraps one such Moore."""
+    law = {"src": "1", "dst": "1", "breaks": [["0", "0"], ["1", "1"]]}
+    step = json.dumps({"step": {"cell": "e", "z": [], "chi": law}})
+    if kind == "repar":
+        return ('{"repar": {"phi": ' + json.dumps(law) + ', "path": ') * depth \
+            + deep_path("moore", 1) + "}}" * depth
+    return f'{{"{kind}": [' * depth + step + (", " + step + "]}") * depth
 
 
-@pytest.mark.parametrize("depth, error", [
-    (400, "endpoint_mismatch"), (900, "bad_input"), (1200, "bad_input")])
-def test_deeply_nested_paths_exit_two(corpus_dir, tmp_path, depth, error):
+@pytest.mark.parametrize("kind, depth, error", [
+    pytest.param("moore", 400, "endpoint_mismatch", id="400-endpoint_mismatch"),
+    pytest.param("moore", 900, "bad_input", id="900-bad_input"),
+    pytest.param("moore", 1200, "bad_input", id="1200-bad_input"),
+    *(pytest.param(kind, depth, error, id=f"{kind}-{depth}-{error}")
+      for kind in ("normcomp", "repar")
+      for depth, error in ((400, "endpoint_mismatch"), (900, "bad_input")))])
+def test_deeply_nested_paths_exit_two(corpus_dir, tmp_path, kind, depth, error):
     # in a fresh process, as the CLI runs: the depth limit is the
     # interpreter's, not the test runner's
     deep = tmp_path / "deep.json"
-    deep.write_text(deep_moore(depth))
+    deep.write_text(deep_path(kind, depth))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(dipath.__file__)))
     proc = subprocess.run(

@@ -721,5 +721,5 @@ def test_flow_presentation_json():
     fp = fundamental_category(build("square"))
     data = fp.to_json()
     assert data["objects"] == ["bot", "p", "q", "top"]
-    assert data["homs"]["bot→top"] == [["a", "b"]]
+    assert data["homs"]["bot→top"] == (("a", "b"),)
     assert "bot→p→top" in data["comp"]

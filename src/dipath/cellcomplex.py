@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Union
@@ -38,13 +38,12 @@ from .errors import (
     UnknownCellError,
     UnknownStateError,
 )
-from .rational import format_fraction, parse_fraction
-from .reparam import (PLHomeo, absorb, compose, inverse, mu, pl_eval,
-                      pl_from_json, split)
+from .rational import format_fraction, format_ratio, parse_fraction
+from .reparam import (PLHomeo, _blocks, absorb, add_ratio, compose, inverse,
+                      mu, pl_eval, pl_from_json)
 
 # t |-> 2t, the time law of every normalized concatenation (shared: frozen)
 _DOUBLING = inverse(mu(2))
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +112,7 @@ class NormalPath:
 
     @property
     def total_len(self) -> Fraction:
-        return sum((s.length for s in self.segs), Fraction(0))
+        return Fraction(*_span(self))
 
     def carrier(self) -> tuple[str, ...]:
         return tuple(s.cell for s in self.segs)
@@ -149,11 +148,16 @@ def _meet(end: str, start: str) -> None:
         raise EndpointMismatchError(f"cannot concatenate: {end} != {start}")
 
 
-def _lands_on(phi: PLHomeo, length: Fraction) -> None:
-    if phi.dst_len != length:
+def _span(np: NormalPath) -> tuple[int, int]:
+    """The length of a normal form as a reduced (num, den) pair."""
+    return reduce(add_ratio, (s.chi.pts[-1][:2] for s in np.segs), (0, 1))
+
+
+def _lands_on(phi: PLHomeo, length: tuple[int, int]) -> None:
+    if phi.pts[-1][2:] != length:
         raise LengthMismatchError(
-            f"phi lands in [0,{phi.dst_len}] but the path runs on "
-            f"[0,{length}]")
+            f"phi lands in [0,{format_ratio(*phi.pts[-1][2:])}] but the path "
+            f"runs on [0,{format_ratio(*length)}]")
 
 
 def concat(left: NormalPath, right: NormalPath) -> NormalPath:
@@ -166,7 +170,7 @@ def concat(left: NormalPath, right: NormalPath) -> NormalPath:
 def repar_normal(np: NormalPath, phi: PLHomeo) -> NormalPath:
     """Reparametrize a normal form by phi, whose target interval must be the
     path's time interval: :func:`absorb` phi into the segments' time laws."""
-    _lands_on(phi, np.total_len)
+    _lands_on(phi, _span(np))
     chis = absorb(phi, [s.chi for s in np.segs])
     return NormalPath(np.start, np.end, tuple(
         Seg(s.cell, s.z, chi) for s, chi in zip(np.segs, chis)))
@@ -332,10 +336,10 @@ class Complex:
                     f"boundary {side} of {cell.id} uses cells attached later "
                     f"or unknown: {sorted(bad)}")
             nf = self.normalize(expr)
-            if nf.total_len != 1:
+            if (length := _span(nf)) != (1, 1):
                 raise BadLengthError(
                     f"boundary {side} of {cell.id} must have length 1, "
-                    f"got {nf.total_len}")
+                    f"got {format_ratio(*length)}")
             if (nf.start, nf.end) != (cell.src, cell.dst):
                 raise BoundaryEndpointMismatchError(
                     f"boundary {side} of {cell.id} runs {nf.start}->{nf.end}, "
@@ -380,45 +384,46 @@ class Complex:
         """
         if isinstance(expr, NormalPath):
             return expr
-        cuts: dict[int, tuple[Fraction, Fraction]] = {}
+        cuts: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
         start, end, _ = self._measure(expr, cuts)
         segs: list[Seg] = []
         self._lay(expr, None, cuts, segs)
         return NormalPath(start, end, tuple(segs))
 
-    def _measure(self, expr, cuts: dict) -> tuple[str, str, Fraction]:
-        """Check ``expr`` bottom-up and return its endpoints and length;
-        keep each concatenation's two lengths in ``cuts`` by node id."""
+    def _measure(self, expr, cuts: dict) -> tuple[str, str, tuple[int, int]]:
+        """Check ``expr`` bottom-up and return its endpoints and length as a
+        (num, den) pair; keep each concatenation's lengths in ``cuts``."""
         if isinstance(expr, Step):
             cell = self.cell(expr.cell)
             if len(expr.z) != cell.disk_dim:
                 raise BadDimError(
                     f"step in {cell.id}: point has {len(expr.z)} coordinates, "
                     f"cell disk dimension is {cell.disk_dim}")
-            if expr.chi.pts[-1][2:] != (1, 1):
+            if (lands := expr.chi.pts[-1][2:]) != (1, 1):
                 raise BadLengthError(f"step time law must land in [0,1], "
-                                     f"got [0,{expr.chi.dst_len}]")
+                                     f"got [0,{format_ratio(*lands)}]")
             if disk_side(expr.z) > 0:
                 raise OutOfDomainError(f"point {expr.z} outside the closed disk")
-            return cell.src, cell.dst, expr.chi.src_len
+            return cell.src, cell.dst, expr.chi.pts[-1][:2]
         if isinstance(expr, (Moore, NormComp)):
             start, mid, left = self._measure(expr.left, cuts)
             meet, end, right = self._measure(expr.right, cuts)
             glued = isinstance(expr, NormComp)
             for length in (left, right) if glued else ():
-                if length != 1:
+                if length != (1, 1):
                     raise BadLengthError(
                         "normalized concatenation needs length-1 operands, "
-                        f"got {length}")
+                        f"got {format_ratio(*length)}")
             _meet(mid, meet)
             cuts[id(expr)] = left, right
-            return start, end, _ONE if glued else left + right
+            return start, end, (1, 1) if glued else add_ratio(left, right)
         if isinstance(expr, Repar):
             start, end, length = self._measure(expr.path, cuts)
             _lands_on(expr.phi, length)
-            return start, end, expr.phi.src_len
+            return start, end, expr.phi.pts[-1][:2]
         if isinstance(expr, NormalPath):
-            return expr.start, expr.end, expr.total_len
+            self.check_normal_path(expr)
+            return expr.start, expr.end, _span(expr)
         raise BadInputError(f"not a path expression: {expr!r}")
 
     def _lay(self, expr, law: Optional[PLHomeo], cuts: dict,
@@ -437,13 +442,13 @@ class Complex:
             if isinstance(expr, NormComp):
                 law = _DOUBLING if law is None else compose(law, _DOUBLING)
             left, right = ((None, None) if law is None
-                           else split(law, cuts[id(expr)]))
+                           else _blocks(law, cuts[id(expr)], 2))
             self._lay(expr.left, left, cuts, segs)
             self._lay(expr.right, right, cuts, segs)
         elif isinstance(expr, Repar):
             self._lay(expr.path, expr.phi if law is None
                       else compose(law, expr.phi), cuts, segs)
-        else:  # a nested NormalPath, accepted as it is
+        else:  # a nested NormalPath, checked by _measure
             segs += expr.segs if law is None else repar_normal(expr, law).segs
 
     def carrier(self, p: PathExpr) -> tuple[str, ...]:

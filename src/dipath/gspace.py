@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import BadInputError, DuplicateLabelError, LengthChainMismatchError
-from .rational import as_length, format_fraction, parse_fraction
-from .reparam import PLHomeo, absorb, identity, pl_from_json
+from .rational import as_length, format_fraction, format_ratio, parse_fraction
+from .reparam import PLHomeo, absorb, add_ratio, identity, pl_from_json
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,11 @@ def elem_make(outer: PLHomeo, parts: Sequence[tuple[str, PLHomeo]]) -> TensorEle
     if not parts:
         raise BadInputError("a tensor element needs at least one factor")
     factors = tuple(Factor(str(label), twist) for label, twist in parts)
-    inner_total = sum((f.length for f in factors), Fraction(0))
-    if outer.dst_len != inner_total:
+    inner = reduce(add_ratio, (f.twist.pts[-1][:2] for f in factors))
+    if outer.pts[-1][2:] != inner:
         raise LengthChainMismatchError(
-            f"outer lands in [0,{outer.dst_len}] but factors span "
-            f"[0,{inner_total}]")
+            f"outer lands in [0,{format_ratio(*outer.pts[-1][2:])}] but "
+            f"factors span [0,{format_ratio(*inner)}]")
     return TensorElem(outer, factors)
 
 

@@ -11,14 +11,17 @@ A break (xn/xd, yn/yd) is stored as the integer point (xn, xd, yn, yd) in
 lowest terms with positive denominators, so equal maps hold equal points;
 the sweeps compare and interpolate on these integers by cross-multiplication.
 ``Fraction`` stays at the API and JSON boundary: :func:`make_pl` reads it,
-and ``breaks``, ``src_len`` and ``dst_len`` are views built on first read.
+and ``breaks``, ``src_len`` and ``dst_len`` are views built on each read.
+The path layers read a length as the integer pair ending ``pts`` instead,
+and :func:`absorb` cuts on such pairs.  Composing with a linear map scales
+one axis of the other map, which keeps every break and adds none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import accumulate
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -48,17 +51,17 @@ class PLHomeo:
 
     pts: tuple[Pt, ...]
 
-    @cached_property
+    @property
     def breaks(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """The breaks as (x, y) Fraction pairs; a read-only view."""
         return tuple((Fraction(xn, xd), Fraction(yn, yd))
                      for xn, xd, yn, yd in self.pts)
 
-    @cached_property
+    @property
     def src_len(self) -> Fraction:
         return Fraction(self.pts[-1][0], self.pts[-1][1])
 
-    @cached_property
+    @property
     def dst_len(self) -> Fraction:
         return Fraction(self.pts[-1][2], self.pts[-1][3])
 
@@ -79,6 +82,12 @@ def _lowest(p: Pt) -> Pt:
     xn, xd, yn, yd = p
     g, h = gcd(xn, xd), gcd(yn, yd)
     return p if g == h == 1 else (xn // g, xd // g, yn // h, yd // h)
+
+
+def add_ratio(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a + b for (num, den) pairs in lowest terms with den > 0, reduced."""
+    num, den = a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+    return num // (g := gcd(num, den)), den // g
 
 
 def _canonical(pts: Sequence[Pt]) -> tuple[Pt, ...]:
@@ -179,6 +188,14 @@ def compose(phi: PLHomeo, psi: PLHomeo) -> PLHomeo:
         raise LengthMismatchError(
             f"cannot chain [0,{phi.src_len}]->[0,{phi.dst_len}] "
             f"with [0,{psi.src_len}]->[0,{psi.dst_len}]")
+    if len(p) == 2:  # phi is t |-> t b/a: psi's sources scale by a/b
+        an, ad, bn, bd = p[1]
+        return PLHomeo(tuple(_lowest((xn * an * bd, xd * ad * bn, yn, yd))
+                             for xn, xd, yn, yd in q))
+    if len(q) == 2:  # psi is t |-> t v/u: phi's targets scale by v/u
+        un, ud, vn, vd = q[1]
+        return PLHomeo(tuple(_lowest((xn, xd, yn * vn * ud, yd * vd * un))
+                             for xn, xd, yn, yd in p))
     pts = [p[0]]
     i = k = 1
     while i < len(p):
@@ -214,21 +231,16 @@ def tensor(*phis: PLHomeo) -> PLHomeo:
 
 
 def _blocks(phi: PLHomeo, lengths: Sequence, s: int) -> tuple[PLHomeo, ...]:
-    """Cut phi in one sweep where the partial sums of lengths fall on axis s
-    (0: source, 2: target), shifting each piece to (0, 0).  Pieces are
-    canonical: their interior breaks are phi's own, on phi's segments."""
-    pts, cuts, cn, cd = phi.pts, [], 0, 1
-    for v in map(as_length, lengths):
-        cn, cd = cn * v.denominator + v.numerator * cd, cd * v.denominator
-        g = gcd(cn, cd)
-        cn, cd = cn // g, cd // g
-        cuts.append((cn, cd))
-    if not cuts or (cn, cd) != pts[-1][s:s + 2]:
+    """Cut phi in one sweep where the partial sums of lengths, reduced
+    (num, den) pairs, fall on axis s (0: source, 2: target), shifting each
+    piece to (0, 0).  Pieces are canonical, with phi's own interior breaks."""
+    pts, cuts = phi.pts, list(accumulate(lengths, add_ratio, initial=(0, 1)))
+    if cuts[-1] != pts[-1][s:s + 2]:
         raise LengthSumMismatchError(
-            f"lengths sum to {format_ratio(cn, cd)}, expected "
+            f"lengths sum to {format_ratio(*cuts[-1])}, expected "
             f"{format_ratio(*pts[-1][s:s + 2])}")
     blocks, piece, i = [], [pts[0]], 1
-    for cn, cd in cuts:
+    for cn, cd in cuts[1:]:
         while pts[i][s] * cd < cn * pts[i][s + 1]:
             piece.append(pts[i])
             i += 1
@@ -252,22 +264,24 @@ def decompose(phi: PLHomeo, lengths: Sequence) -> tuple[PLHomeo, ...]:
     Tensoring the blocks back recovers phi exactly, and the decomposition
     with these source lengths is unique.
     """
-    return _blocks(phi, lengths, 0)
+    return _blocks(phi, [as_length(v).as_integer_ratio() for v in lengths], 0)
 
 
 def split(phi: PLHomeo, dst_lengths: Sequence) -> tuple[PLHomeo, ...]:
     """Split phi into blocks with the given destination lengths: the cuts
     are the phi-preimages of their partial sums, and the source lengths
     are forced as in :func:`decompose`."""
-    return _blocks(phi, dst_lengths, 2)
+    return _blocks(phi, [as_length(v).as_integer_ratio()
+                         for v in dst_lengths], 2)
 
 
 def absorb(phi: PLHomeo, laws: Sequence[PLHomeo]) -> tuple[PLHomeo, ...]:
     """Push phi into a chain of laws whose source lengths add up to phi's
-    target length: phi splits at the preimages of the laws' cuts, and each
-    block composes into its law.  The tensor of the results is phi followed
-    by the tensor of the laws."""
-    return tuple(map(compose, split(phi, [law.src_len for law in laws]), laws))
+    target length: phi is cut on the integer pairs of the laws' source
+    lengths, and each block composes into its law.  The tensor of the
+    results is phi followed by the tensor of the laws."""
+    blocks = _blocks(phi, [law.pts[-1][:2] for law in laws], 2)
+    return tuple(map(compose, blocks, laws))
 
 
 def pl_from_json(data) -> PLHomeo:

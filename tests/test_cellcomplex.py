@@ -994,6 +994,19 @@ def test_rejected_paths_are_rejected_again():
                 cx.check_normal_path(path)
 
 
+def test_nested_normal_paths_are_checked_against_the_complex():
+    # a normal path nested in an expression is checked as one read from
+    # JSON is: an unknown cell or an empty segment list is refused
+    cx = build("loop_heavy")
+    through_zz = NormalPath("0", "1", (Seg("zz", (), identity(1)),))
+    with pytest.raises(UnknownCellError, match="unknown cell zz"):
+        cx.normalize(Moore(through_zz, Step("f", (), identity(1))))
+    empty = NormalPath("2", "0", ())
+    with pytest.raises(BadInputError, match="at least one segment"):
+        cx.normalize(Repar(Moore(empty, Step("e", (), identity(1))),
+                           identity(1)))
+
+
 def test_memo_entries_die_with_their_paths():
     import gc
 

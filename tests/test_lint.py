@@ -32,20 +32,57 @@ def test_no_assert_statements_in_the_package():
 SWEEPS = {"compose", "inverse", "tensor", "_blocks", "_canonical", "_lerp",
           "_lowest"}
 
+# the path layers read a length as the (num, den) pair ending ``pts``
+PAIR_READERS = {
+    "cellcomplex.py": {"Complex._measure", "Complex._lay", "repar_normal",
+                       "_lands_on"},
+    "reparam.py": {"absorb"},
+    "gspace.py": {"elem_make"},
+}
+FRACTION_VIEWS = {"src_len", "dst_len", "total_len", "length", "breaks"}
+
+
+def _functions(module: str, names: set) -> dict:
+    """The named top-level functions and Class.method methods of a module."""
+    path = Path(dipath.__file__).parent / module
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found.update((f"{node.name}.{sub.name}", sub) for sub in node.body
+                         if isinstance(sub, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+    missing = names - set(found)
+    assert not missing, f"missing from {module}: {sorted(missing)}"
+    return {name: found[name] for name in sorted(names)}
+
+
+def _fraction_calls(fn) -> list:
+    return [node.lineno for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "Fraction")]
+
 
 def test_pl_sweeps_build_no_fraction():
-    path = Path(dipath.__file__).parent / "reparam.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    sweeps = {node.name: node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name in SWEEPS}
-    assert set(sweeps) == SWEEPS, f"missing sweeps: {SWEEPS - set(sweeps)}"
-    found = [f"{name}:{node.lineno}" for name, fn in sorted(sweeps.items())
-             for node in ast.walk(fn)
-             if isinstance(node, ast.Call) and (
-                 isinstance(node.func, ast.Name) and node.func.id == "Fraction"
-                 or isinstance(node.func, ast.Attribute)
-                 and node.func.attr == "Fraction")]
+    found = [f"{name}:{line}"
+             for name, fn in _functions("reparam.py", SWEEPS).items()
+             for line in _fraction_calls(fn)]
     assert not found, f"Fraction built inside a PL sweep: {found}"
+
+
+def test_path_layers_read_lengths_as_integer_pairs():
+    found = []
+    for module, names in sorted(PAIR_READERS.items()):
+        for name, fn in _functions(module, names).items():
+            found += [f"{name}:{line} Fraction" for line in _fraction_calls(fn)]
+            found += [f"{name}:{node.lineno} .{node.attr}"
+                      for node in ast.walk(fn)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr in FRACTION_VIEWS]
+    assert not found, f"Fraction lengths on a path layer: {found}"
 
 
 def test_every_traced_name_resolves_in_dipath():

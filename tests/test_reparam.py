@@ -429,6 +429,27 @@ def test_canonical_leaves_no_collinear_break(data):
         assert (y2 - y1) * (x3 - x2) != (y3 - y2) * (x2 - x1)
 
 
+@PROPERTY
+@given(st.data(), st.sampled_from(["left", "right", "both"]))
+def test_compose_with_a_linear_map_matches_pointwise_oracle(data, linear):
+    src, mid, dst = data.draw(lengths), data.draw(lengths), data.draw(lengths)
+    phi = (make_pl(src, mid, [(0, 0), (src, mid)]) if linear != "right"
+           else data.draw(pl_maps(src, mid, max_breaks=64)))
+    psi = (make_pl(mid, dst, [(0, 0), (mid, dst)]) if linear != "left"
+           else data.draw(pl_maps(mid, dst, max_breaks=64)))
+    comp = compose(phi, psi)
+    pulled = [oracle_eval([(y, x) for x, y in phi.breaks], u)
+              for u, _ in psi.breaks]
+    times = sorted({x for x, _ in phi.breaks} | set(pulled))
+    assert comp == make_pl(src, dst, [
+        (t, oracle_eval(psi.breaks, oracle_eval(phi.breaks, t)))
+        for t in times])
+    assert_canonical_points(comp)
+    out = comp.breaks
+    for (x1, y1), (x2, y2), (x3, y3) in zip(out, out[1:], out[2:]):
+        assert (y2 - y1) * (x3 - x2) != (y3 - y2) * (x2 - x1)
+
+
 def pointwise_equal(phi, psi):
     """Equal domains and codomains, and equal values at every break of
     either map, between which both are linear: checked by the oracle."""

@@ -23,7 +23,6 @@ from functools import cached_property, reduce
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Union
-from weakref import ref
 
 from .errors import (
     BadDimError,
@@ -198,6 +197,12 @@ class ComplexDesc:
     cells: tuple[Cell, ...]
 
 
+def check_bound(bound: Optional[int]) -> None:
+    """Refuse a negative carrier bound (None: no bound)."""
+    if bound is not None and bound < 0:
+        raise BadInputError(f"carrier bound must be >= 0, got {bound}")
+
+
 def _expr_cells(expr: PathExpr) -> set[str]:
     if isinstance(expr, Step):
         return {expr.cell}
@@ -206,12 +211,6 @@ def _expr_cells(expr: PathExpr) -> set[str]:
     if isinstance(expr, Repar):
         return _expr_cells(expr.path)
     raise BadInputError(f"not a path expression: {expr!r}")
-
-
-class _PathRef(ref):
-    """A weak reference to an accepted path, with the memo key it sits at."""
-
-    __slots__ = ("key",)
 
 
 class Complex:
@@ -223,34 +222,23 @@ class Complex:
     tables a child copies from its parent are never written after
     construction.  What changes is cached: ``desc`` and
     ``topological_order`` (None when the cells form a directed cycle;
-    ``loop_free`` reads it), computed on first read, the carrier tables,
-    one per bound, and the memo of accepted paths, which a child inherits
-    (see :meth:`check_normal_path`).
+    ``loop_free`` reads it), computed on first read, and the carrier
+    tables, one per bound.
     """
 
     def __init__(self, states: tuple[str, ...]):
         states = tuple(states)
         if len(set(states)) != len(states):
             raise UnknownStateError("state names must be distinct")
-        self._fill(states, {}, {}, {s: () for s in states}, {})
+        self._fill(states, {}, {}, {s: () for s in states})
 
     def _fill(self, states: tuple[str, ...], cells: dict[str, Cell],
               boundaries: dict[str, tuple[NormalPath, NormalPath]],
-              arcs: dict[str, tuple[Cell, ...]], verified: dict) -> None:
-        owner = ref(self)
-
-        def forget(dead: _PathRef) -> None:
-            cx = owner()
-            if cx is not None and cx._verified.get(dead.key) is dead:
-                del cx._verified[dead.key]
-
+              arcs: dict[str, tuple[Cell, ...]]) -> None:
         # cells in attachment order; arcs by source state, sorted by id
         vars(self).update(
             states=states, _cells=cells, _boundaries=boundaries, _arcs=arcs,
-            _carrier_tables={},
-            # id(path) -> weak reference to each accepted path object; an
-            # entry goes when its path dies, or stays dead, if inherited
-            _verified=verified, _forget=forget)
+            _carrier_tables={})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Complex is immutable: cannot set {name!r}")
@@ -291,9 +279,8 @@ class Complex:
         Only the new cell is admitted: its id and states, and for a globe
         its two boundary paths, normalized here, where every cell they may
         use is already attached.  The child copies the parent's cell,
-        boundary and arc tables (sharing their immutable values) and its
-        memo of accepted paths, which is sound as no existing cell changes
-        (see :meth:`check_normal_path`), and starts with empty caches."""
+        boundary and arc tables (sharing their immutable values) and starts
+        with empty caches."""
         if cell.id in self._cells:
             raise UnknownCellError("cell ids must be distinct")
         boundary = self._admit(cell)
@@ -305,7 +292,7 @@ class Complex:
                                       key=attrgetter("id")))
         child = object.__new__(Complex)
         child._fill(self.states, {**self._cells, cell.id: cell}, boundaries,
-                    arcs, dict(self._verified))
+                    arcs)
         return child
 
     # -- construction-time checks
@@ -477,20 +464,7 @@ class Complex:
         """``np`` itself when it is a well-formed path of this complex: every
         segment in a known cell, with the right point arity, an interior
         point and a time law onto [0, 1], the segments chaining, and the
-        endpoints those of the chain.
-
-        An accepted path object is remembered by identity, weakly, and is
-        accepted again without the walk: the complex and the path are both
-        immutable, so a second walk would give the same answer.  A rejected
-        path is never remembered.  A child made by :meth:`extend` copies the
-        memo: the walk reads only cells the segments name, which the child
-        holds unchanged, while a path through the new cell stays rejected by
-        the parent.  A counit check shares its witness slot paths across
-        steps and makes each pushout the next base, so a slot path is walked
-        about once per check."""
-        seen = self._verified.get(id(np))
-        if seen is not None and seen() is np:
-            return np
+        endpoints those of the chain."""
         if not np.segs:
             raise BadInputError("a path has at least one segment")
         chain = []
@@ -511,9 +485,6 @@ class Complex:
                     f"segments do not chain: {a.dst} != {b.src}")
         if np.start != chain[0].src or np.end != chain[-1].dst:
             raise EndpointMismatchError("endpoint states do not match segments")
-        seen = _PathRef(np, self._forget)
-        seen.key = id(np)
-        self._verified[seen.key] = seen
         return np
 
     # -- carrier enumeration
@@ -529,8 +500,7 @@ class Complex:
             return self._carrier_tables[bound]
         except KeyError:
             pass
-        if bound is not None and bound < 0:
-            raise BadInputError(f"carrier bound must be >= 0, got {bound}")
+        check_bound(bound)
         if bound is None and not self.loop_free:
             raise UnboundedEnumerationError(
                 "complex has loops: pass an explicit carrier bound")

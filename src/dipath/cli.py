@@ -3,7 +3,8 @@
 Output is deterministic for identical inputs: canonical orderings
 everywhere, rationals in lowest terms, JSON keys sorted.  Exit status is 0
 on success, 1 when a verification fails (for example a pushout carrier
-mismatch), and 2 on malformed input.
+mismatch), and 2 on malformed input or when a soundness guard fires
+(reported as ``engine_error``).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cellcomplex import Cell, Complex, ComplexDesc, validate
+from .cellcomplex import Cell, Complex, ComplexDesc, check_bound, validate
 from .errors import (
     BadInputError,
     HasLoopsError,
@@ -127,9 +127,7 @@ def counit_check(cx: Complex, bound: int) -> dict:
     The steps replay the chain that builds ``cx`` one cell at a time: the
     pushout of step i is ``base.extend(cell)`` and the base of step i+1, so
     each cell is admitted and each carrier table built once.  One
-    ``WitnessPaths`` serves every step, and every complex inherits the
-    paths its parent accepted, so a slot path is walked about once per
-    check.
+    ``WitnessPaths`` serves every step.
 
     A step witnesses only the shapes it adds, those with k >= 1 passes
     through its cell: each is built, tested for being simplified, realized
@@ -143,8 +141,8 @@ def counit_check(cx: Complex, bound: int) -> dict:
     report are shared between steps, and an equal right list is the left
     list itself.  A k=0 slot path is checked against both complexes only
     at the first step whose base holds its word, after the step that
-    attached its last cell; every later complex extends that pushout and
-    inherits the acceptance."""
+    attached its last cell."""
+    check_bound(bound)
     steps, paths = [], WitnessPaths(cx.desc.cells)
     base, carried = Complex(cx.states), ([], [])
     for cell in cx.desc.cells:

@@ -14,6 +14,7 @@ from functools import reduce
 from random import Random
 
 from .cellcomplex import Moore, NormComp, Repar, np_to_expr
+from .errors import BadInputError
 from .mooreflow import chain_complex
 from .reparam import (
     compose,
@@ -207,7 +208,9 @@ def selftest_report(seed: int, scale: int = 1) -> dict:
     """Every case of every suite, the k-th suite drawing from seed + k.
     On failure, ``first_failure`` names the first failing suite, its seed
     and the index of its first failing case, which rerunning the suite on
-    ``Random(seed)`` replays."""
+    ``Random(seed)`` replays.  ``scale`` must be at least 1."""
+    if scale < 1:
+        raise BadInputError(f"selftest scale must be >= 1, got {scale}")
     report = {"seed": seed, "checks": [], "ok": True}
     for k, (name, check, cases) in enumerate(SUITES):
         held = list(check(Random(seed + k), cases * scale))

@@ -740,7 +740,7 @@ def test_normal_path_json_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# incremental construction, immutability and the accepted-path memo
+# incremental construction, immutability and path checks
 
 
 def kahn_loop_free(desc):
@@ -883,60 +883,6 @@ def unit_np(cx, word):
                             for c in word))
 
 
-def count_walks(monkeypatch):
-    """Count check_normal_path walks: each walk looks up its first cell."""
-    from dipath.cellcomplex import Complex
-
-    walks = []
-    lookup = Complex.cell
-
-    def counted(self, cid):
-        walks.append(cid)
-        return lookup(self, cid)
-
-    monkeypatch.setattr(Complex, "cell", counted)
-    return walks
-
-
-def test_accepted_paths_are_walked_once_per_complex(monkeypatch):
-    base = build("square_open")
-    pushout = base.extend(CORPUS["square"].cells[-1])
-    path = unit_np(base, ("a", "b"))
-    twin = unit_np(base, ("a", "b"))
-    assert twin == path and twin is not path
-    walks = count_walks(monkeypatch)
-    assert base.check_normal_path(path) is path
-    assert len(walks) == 2
-    assert base.check_normal_path(path) is path
-    assert len(walks) == 2
-    # the memo is per complex and per object: the pushout walks the same
-    # object once, and an equal but distinct object is walked again
-    assert pushout.check_normal_path(path) is path
-    assert len(walks) == 4
-    base.check_normal_path(twin)
-    assert len(walks) == 6
-    # a child inherits its parent's acceptances: no walk at all
-    child = base.extend(edge("z", "top", "bot"))
-    assert child.check_normal_path(path) is path
-    assert child.check_normal_path(twin) is twin
-    assert len(walks) == 6
-
-
-def test_siblings_do_not_share_acceptances(monkeypatch):
-    base = build("square_open")
-    left = base.extend(edge("z", "top", "bot"))
-    right = base.extend(edge("y", "top", "bot"))
-    path = unit_np(base, ("a", "b"))
-    walks = count_walks(monkeypatch)
-    assert left.check_normal_path(path) is path
-    assert len(walks) == 2
-    # an acceptance flows neither across to a sibling nor back to the parent
-    assert right.check_normal_path(path) is path
-    assert len(walks) == 4
-    assert base.check_normal_path(path) is path
-    assert len(walks) == 6
-
-
 def test_a_path_through_a_sibling_cell_is_rejected():
     base = build("square_open")
     left = base.extend(edge("z", "top", "bot"))
@@ -949,26 +895,6 @@ def test_a_path_through_a_sibling_cell_is_rejected():
         for _ in range(2):
             with pytest.raises(UnknownCellError):
                 cx.check_normal_path(through)
-
-
-def test_a_child_walks_again_once_an_inherited_path_died(monkeypatch):
-    import gc
-
-    base = build("square_open")
-    path = unit_np(base, ("a", "b"))
-    base.check_normal_path(path)
-    child = base.extend(edge("z", "top", "bot"))
-    assert len(child._verified) == 1
-    walks = count_walks(monkeypatch)
-    del path
-    gc.collect()
-    assert len(base._verified) == 0
-    again = unit_np(base, ("a", "b"))
-    walks.clear()
-    assert child.check_normal_path(again) is again
-    assert len(walks) == 2
-    assert child.check_normal_path(again) is again
-    assert len(walks) == 2
 
 
 def test_path_accepted_by_the_pushout_is_still_rejected_by_the_base():
@@ -1005,18 +931,6 @@ def test_nested_normal_paths_are_checked_against_the_complex():
     with pytest.raises(BadInputError, match="at least one segment"):
         cx.normalize(Repar(Moore(empty, Step("e", (), identity(1))),
                            identity(1)))
-
-
-def test_memo_entries_die_with_their_paths():
-    import gc
-
-    cx = build("square")
-    path = unit_np(cx, ("a", "b"))
-    cx.check_normal_path(path)
-    assert len(cx._verified) == 1
-    del path
-    gc.collect()
-    assert len(cx._verified) == 0
 
 
 # ---------------------------------------------------------------------------

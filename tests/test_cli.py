@@ -311,6 +311,20 @@ def test_negative_bound_is_rejected(corpus_dir, capsys, argv):
     assert json.loads(out)["error"] == "bad_input"
 
 
+def test_negative_bound_is_rejected_without_cells(tmp_path, capsys):
+    # with no cell there is no carrier table to build, and the bound is
+    # still checked, as it is with cells
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"states": ["a", "b"], "cells": []}))
+    status, out = invoke(capsys, "counit-check", str(empty), "--bound", "-3")
+    assert status == 2
+    assert json.loads(out) == {"error": "bad_input",
+                               "detail": "carrier bound must be >= 0, got -3"}
+    status, out = invoke(capsys, "counit-check", str(empty), "--bound", "0")
+    assert status == 0
+    assert json.loads(out) == {"bound": 0, "ok": True, "steps": []}
+
+
 @pytest.mark.parametrize("argv, field, want", [
     (("carriers", "square", "--from", "bot", "--to", "top", "--bound", "0"),
      "carriers", []),
@@ -421,6 +435,15 @@ def test_selftest_cli(capsys):
     assert {c["name"] for c in report["checks"]} == {
         "reparam_laws", "normal_form_pairs", "rigidity",
         "elem_normalization"}
+
+
+@pytest.mark.parametrize("scale", ["0", "-2"])
+def test_selftest_scale_below_one_is_rejected(capsys, scale):
+    status, out = invoke(capsys, "selftest", "--scale", scale)
+    assert status == 2
+    assert json.loads(out) == {
+        "error": "bad_input",
+        "detail": f"selftest scale must be >= 1, got {scale}"}
 
 
 def test_selftest_reports_its_first_failure(capsys, monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dipath.cellcomplex import Cell, ComplexDesc, NormComp, validate
+from dipath.cellcomplex import Cell, Complex, ComplexDesc, NormComp, validate
 from dipath.errors import (
     BadDimError,
     BadInputError,
@@ -229,6 +229,17 @@ def test_counit_check_square():
     assert all(step["bijection"] for step in report["steps"])
 
 
+def test_counit_check_refuses_a_negative_bound_with_or_without_cells():
+    # the carrier table's own check, whether or not a table gets built
+    for cx in (Complex(("a", "b")), build("square")):
+        with pytest.raises(BadInputError,
+                           match=r"^carrier bound must be >= 0, got -1$"):
+            counit_check(cx, -1)
+    with pytest.raises(BadInputError,
+                       match=r"^carrier bound must be >= 0, got -1$"):
+        build("square").carrier_table(-1)
+
+
 def test_counit_check_with_loop():
     report = counit_check(build("loop_heavy"), 4)
     assert report["ok"]
@@ -240,10 +251,9 @@ def test_counit_check_with_loop():
 @example("loop_heavy", 6)
 @example(21, 5)
 def test_counit_check_on_random_complexes(source, bound):
-    # each step, run on the previous step's pushout with the memo it
-    # inherited and the witness parts of earlier steps, equals the
-    # stand-alone check on a freshly validated prefix, which has fresh
-    # memos and fresh witness parts
+    # each step, run on the previous step's pushout with the witness parts
+    # of earlier steps, equals the stand-alone check on a freshly validated
+    # prefix, which has fresh witness parts
     cx = (build(source) if isinstance(source, str)
           else rand_loopfree_complex(Random(source)))
     report = counit_check(cx, bound)

@@ -37,7 +37,8 @@ from .errors import (
     UnknownCellError,
     UnknownStateError,
 )
-from .rational import format_fraction, format_ratio, parse_fraction
+from .rational import (format_fraction, format_point, format_ratio,
+                       parse_fraction)
 from .reparam import (PLHomeo, _blocks, absorb, add_ratio, compose, inverse,
                       mu, pl_eval, pl_from_json)
 
@@ -390,7 +391,8 @@ class Complex:
                 raise BadLengthError(f"step time law must land in [0,1], "
                                      f"got [0,{format_ratio(*lands)}]")
             if disk_side(expr.z) > 0:
-                raise OutOfDomainError(f"point {expr.z} outside the closed disk")
+                raise OutOfDomainError(
+                    f"point {format_point(expr.z)} outside the closed disk")
             return cell.src, cell.dst, expr.chi.pts[-1][:2]
         if isinstance(expr, (Moore, NormComp)):
             start, mid, left = self._measure(expr.left, cuts)
@@ -476,7 +478,7 @@ class Complex:
                     f"segment in {cell.id}: wrong point arity {len(seg.z)}")
             if cell.disk_dim > 0 and disk_side(seg.z) >= 0:
                 raise OutOfDomainError(
-                    f"segment point {seg.z} must be interior")
+                    f"segment point {format_point(seg.z)} must be interior")
             if seg.chi.pts[-1][2:] != (1, 1):
                 raise BadLengthError("segment time law must land in [0,1]")
         for a, b in zip(chain, chain[1:]):

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import BadInputError, DuplicateLabelError, LengthChainMismatchError
 from .rational import as_length, format_fraction, format_ratio, parse_fraction
-from .reparam import PLHomeo, absorb, add_ratio, identity, pl_from_json
+from .reparam import PLHomeo, absorb, add_ratio, pl_from_json
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,8 @@ def elem_normalize(elem: TensorElem) -> TensorElem:
     if elem.is_canonical():
         return elem
     twists = absorb(elem.outer, [f.twist for f in elem.factors])
-    return TensorElem(identity(elem.total_len), tuple(
+    end = elem.outer.pts[-1][:2]  # the identity's one break past (0, 0)
+    return TensorElem(PLHomeo(((0, 1, 0, 1), (*end, *end))), tuple(
         Factor(f.label, twist) for f, twist in zip(elem.factors, twists)))
 
 

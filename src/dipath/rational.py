@@ -44,3 +44,8 @@ def format_ratio(num: int, den: int) -> str:
     """The string of num/den given in lowest terms with den > 0: the same
     string as ``format_fraction(Fraction(num, den))``, with no Fraction."""
     return str(num) if den == 1 else f"{num}/{den}"
+
+
+def format_point(values) -> str:
+    """Rationals for a message as "(0, 1/2)": strings, never reprs."""
+    return f"({', '.join(map(str, values))})"

@@ -50,7 +50,7 @@ from .errors import (
     OutOfDomainError,
     WrongEndpointsError,
 )
-from .rational import format_fraction, parse_fraction
+from .rational import format_fraction, format_point, parse_fraction
 from .reparam import PLHomeo, mu, pl_from_json
 
 # the time law and disk coordinate of every witness slot; both are
@@ -154,8 +154,8 @@ def make_elem(obj: ReedyObj, entries, base: Complex) -> ReedyElem:
             if e != 1:
                 raise BadInputError("flag-0 slot holds a cell path")
             if disk_side(entry.z) > 0:
-                raise OutOfDomainError(
-                    f"cell point {entry.z} outside the closed disk")
+                raise OutOfDomainError(f"cell point {format_point(entry.z)} "
+                                       "outside the closed disk")
             if entry.chi.pts[-1][2:] != (1, 1):
                 raise BadLengthError("cell time law must land in [0,1]")
         else:
@@ -227,7 +227,7 @@ def _boundary_path(base: Complex, cell: Cell,
                               else cell.boundary_plus)
     raise NoBoundaryDataError(
         f"no boundary interpretation for a dimension-{cell.disk_dim} "
-        f"cell point {z}")
+        f"cell point {format_point(z)}")
 
 
 def _demotions(elem: ReedyElem, cell: Cell):

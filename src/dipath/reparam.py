@@ -13,8 +13,9 @@ the sweeps compare and interpolate on these integers by cross-multiplication.
 ``Fraction`` stays at the API and JSON boundary: :func:`make_pl` reads it,
 and ``breaks``, ``src_len`` and ``dst_len`` are views built on each read.
 The path layers read a length as the integer pair ending ``pts`` instead,
-and :func:`absorb` cuts on such pairs.  Composing with a linear map scales
-one axis of the other map, which keeps every break and adds none.
+and :func:`absorb` cuts on such pairs.  :func:`compose` and :func:`tensor`
+keep every break that only one canonical operand has, since the rest is
+linear there; a break can straighten only where two breaks meet.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     NonMonotonicError,
     OutOfDomainError,
 )
-from .rational import as_length, format_ratio, parse_fraction
+from .rational import as_length, format_point, format_ratio, parse_fraction
 
 # (xn, xd, yn, yd): reduced when stored, possibly not inside a sweep
 Pt = tuple[int, int, int, int]
@@ -84,35 +85,43 @@ def _lowest(p: Pt) -> Pt:
     return p if g == h == 1 else (xn // g, xd // g, yn // h, yd // h)
 
 
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    return num // (g := gcd(num, den)), den // g
+
+
 def add_ratio(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     """a + b for (num, den) pairs in lowest terms with den > 0, reduced."""
-    num, den = a[0] * b[1] + b[0] * a[1], a[1] * b[1]
-    return num // (g := gcd(num, den)), den // g
+    return _ratio(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+
+
+def _straighten(pts: list[Pt], at: Iterable[int]) -> tuple[Pt, ...]:
+    """Drop each pts[i], i in ``at`` (ascending), whose two slopes agree."""
+    kept, last = [], 0
+    for i in at:
+        kept += pts[last:i]
+        (x1, a1, y1, b1), (x2, a2, y2, b2), (x3, a3, y3, b3) = (
+            kept[-1], pts[i], pts[i + 1])
+        # (y2 - y1)(x3 - x2) == (y3 - y2)(x2 - x1), times every denominator
+        last = i + ((y2 * b1 - y1 * b2) * (x3 * a2 - x2 * a3) * b3 * a1
+                    == (y3 * b2 - y2 * b3) * (x2 * a1 - x1 * a2) * b1 * a3)
+    return (*kept, *pts[last:])
 
 
 def _canonical(pts: Sequence[Pt]) -> tuple[Pt, ...]:
     """Reduce each point to lowest terms; drop collinear interior breaks."""
-    red = list(map(_lowest, pts))
-    kept = [red[0]]
-    for p, q in zip(red[1:-1], red[2:]):
-        (x1, a1, y1, b1), (x2, a2, y2, b2), (x3, a3, y3, b3) = kept[-1], p, q
-        # (y2 - y1)(x3 - x2) != (y3 - y2)(x2 - x1), times every denominator
-        if ((y2 * b1 - y1 * b2) * (x3 * a2 - x2 * a3) * b3 * a1
-                != (y3 * b2 - y2 * b3) * (x2 * a1 - x1 * a2) * b1 * a3):
-            kept.append(p)
-    return (*kept, red[-1])
+    return _straighten(list(map(_lowest, pts)), range(1, len(pts) - 1))
 
 
 def _lerp(p: Pt, q: Pt, tn: int, td: int, s: int) -> tuple[int, int]:
     """On the segment p-q, the other coordinate where axis s (0: source,
-    2: target) reads t = tn/td: b1 + (b2 - b1)(t - a1)/(a2 - a1) as an
-    unreduced (numerator, denominator) pair with a positive denominator."""
+    2: target) reads t = tn/td: b1 + (b2 - b1)(t - a1)/(a2 - a1) as a
+    reduced (numerator, denominator) pair with a positive denominator."""
     o = 2 - s
     a1, c1, b1, d1 = p[s], p[s + 1], p[o], p[o + 1]
     a2, c2, b2, d2 = q[s], q[s + 1], q[o], q[o + 1]
     den = td * (a2 * c1 - a1 * c2)  # (a2 - a1) td c1 c2
     rise = (tn * c1 - a1 * td) * c2 * (b2 * d1 - b1 * d2)
-    return b1 * d2 * den + rise, d1 * d2 * den
+    return _ratio(b1 * d2 * den + rise, d1 * d2 * den)
 
 
 def make_pl(src_len, dst_len, breaks: Iterable) -> PLHomeo:
@@ -122,10 +131,11 @@ def make_pl(src_len, dst_len, breaks: Iterable) -> PLHomeo:
     if len(pairs) < 2:
         raise BadEndpointsError("need at least the two endpoint breaks")
     if pairs[0] != (0, 0):
-        raise BadEndpointsError(f"first break must be (0, 0), got {pairs[0]}")
+        raise BadEndpointsError(
+            f"first break must be (0, 0), got {format_point(pairs[0])}")
     if pairs[-1] != (src, dst):
         raise BadEndpointsError(
-            f"last break must be ({src}, {dst}), got {pairs[-1]}")
+            f"last break must be ({src}, {dst}), got {format_point(pairs[-1])}")
     pts = [(x.numerator, x.denominator, y.numerator, y.denominator)
            for x, y in pairs]
     for i in range(1, len(pts)):
@@ -181,7 +191,8 @@ def compose(phi: PLHomeo, psi: PLHomeo) -> PLHomeo:
 
     The result evaluates as psi(phi(t)); its breakpoints are phi's break
     abscissas together with the phi-preimages of psi's break abscissas,
-    collected in one merge sweep over both break lists.
+    collected in one merge sweep over both break lists.  Only where both
+    maps break can the slopes agree; elsewhere one of them is linear.
     """
     p, q = phi.pts, psi.pts
     if p[-1][2:] != q[-1][:2]:
@@ -190,13 +201,13 @@ def compose(phi: PLHomeo, psi: PLHomeo) -> PLHomeo:
             f"with [0,{psi.src_len}]->[0,{psi.dst_len}]")
     if len(p) == 2:  # phi is t |-> t b/a: psi's sources scale by a/b
         an, ad, bn, bd = p[1]
-        return PLHomeo(tuple(_lowest((xn * an * bd, xd * ad * bn, yn, yd))
+        return PLHomeo(tuple((*_ratio(xn * an * bd, xd * ad * bn), yn, yd)
                              for xn, xd, yn, yd in q))
     if len(q) == 2:  # psi is t |-> t v/u: phi's targets scale by v/u
         un, ud, vn, vd = q[1]
-        return PLHomeo(tuple(_lowest((xn, xd, yn * vn * ud, yd * vd * un))
+        return PLHomeo(tuple((xn, xd, *_ratio(yn * vn * ud, yd * vd * un))
                              for xn, xd, yn, yd in p))
-    pts = [p[0]]
+    pts, ties = [p[0]], []
     i = k = 1
     while i < len(p):
         xn, xd, yn, yd = p[i]
@@ -206,11 +217,12 @@ def compose(phi: PLHomeo, psi: PLHomeo) -> PLHomeo:
             pts.append((xn, xd, *_lerp(q[k - 1], q[k], yn, yd, 0)))
         elif c > 0:  # psi's break comes first: pull it back through phi
             pts.append((*_lerp(p[i - 1], p[i], un, ud, 2), vn, vd))
-        else:
+        else:  # both maps break here: the only place the slopes may agree
+            ties.append(len(pts))
             pts.append((xn, xd, vn, vd))
         i += c <= 0  # step past the break(s) just used
         k += c >= 0
-    return PLHomeo(_canonical(pts))
+    return PLHomeo(_straighten(pts, ties[:-1]))  # the last tie is the end
 
 
 def inverse(phi: PLHomeo) -> PLHomeo:
@@ -219,15 +231,18 @@ def inverse(phi: PLHomeo) -> PLHomeo:
 
 def tensor(*phis: PLHomeo) -> PLHomeo:
     """Block concatenation: the i-th block acts as phi_i shifted by the
-    partial sums of the source and destination lengths."""
+    partial sums of the source and destination lengths.  A shift keeps each
+    block's breaks, so only the junctions are tested for collinearity."""
     if not phis:
         raise BadInputError("tensor needs at least one factor")
-    pts = [_ORIGIN]
-    for phi in phis:
-        an, ad, bn, bd = _lowest(pts[-1])  # the end of the blocks so far
-        pts += [(an * xd + xn * ad, ad * xd, bn * yd + yn * bd, bd * yd)
+    pts, joints = list(phis[0].pts), []
+    for phi in phis[1:]:
+        joints.append(len(pts) - 1)
+        an, ad, bn, bd = pts[-1]  # the end of the blocks so far
+        pts += [_lowest((an * xd + xn * ad, ad * xd,
+                         bn * yd + yn * bd, bd * yd))
                 for xn, xd, yn, yd in phi.pts[1:]]
-    return PLHomeo(_canonical(pts))
+    return PLHomeo(_straighten(pts, joints))
 
 
 def _blocks(phi: PLHomeo, lengths: Sequence, s: int) -> tuple[PLHomeo, ...]:

@@ -25,6 +25,7 @@ from dipath.errors import (
     BadLengthError,
     OutOfDomainError,
 )
+from dipath.rational import format_point
 from dipath.reparam import inverse, mu, pl_eval
 from dipath.sampling import (
     rand_fraction,
@@ -93,7 +94,8 @@ def fold_normalize(cx, expr):
                 f"step time law must land in [0,1], got [0,{expr.chi.dst_len}]")
         side = disk_side(expr.z)
         if side > 0:
-            raise OutOfDomainError(f"point {expr.z} outside the closed disk")
+            raise OutOfDomainError(
+                f"point {format_point(expr.z)} outside the closed disk")
         if side < 0 or cell.disk_dim == 0:
             return NormalPath(cell.src, cell.dst,
                               (Seg(cell.id, expr.z, expr.chi),))

@@ -908,6 +908,17 @@ def test_path_accepted_by_the_pushout_is_still_rejected_by_the_base():
     assert pushout.check_normal_path(through) is through
 
 
+def test_point_details_print_rationals():
+    cx = build("square")
+    with pytest.raises(OutOfDomainError) as step:
+        cx.normalize(Step("sq", (F(3, 2),), identity(1)))
+    assert str(step.value) == "point (3/2) outside the closed disk"
+    with pytest.raises(OutOfDomainError) as seg:
+        cx.check_normal_path(
+            NormalPath("bot", "top", (Seg("sq", (F(-1),), mu(1)),)))
+    assert str(seg.value) == "segment point (-1) must be interior"
+
+
 def test_rejected_paths_are_rejected_again():
     cx = build("square")
     outside = NormalPath("bot", "top", (Seg("sq", (F(1),), mu(1)),))

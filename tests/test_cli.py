@@ -241,6 +241,19 @@ def test_recursion_error_anywhere_exits_two(corpus_dir, capsys, monkeypatch):
     assert json.loads(out)["error"] == "bad_input"
 
 
+def test_bad_endpoint_detail_prints_rationals(corpus_dir, tmp_path, capsys):
+    step = unit_step_json("1")
+    step["step"]["chi"]["breaks"][0] = ["0", "1/2"]
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(step))
+    status, out = invoke(capsys, "normalize",
+                         str(corpus_dir / "segment.json"), str(path))
+    assert status == 2
+    assert json.loads(out) == {
+        "error": "bad_endpoints",
+        "detail": "first break must be (0, 0), got (0, 1/2)"}
+
+
 def test_normalize_reports_normal_path(corpus_dir, capsys):
     status, out = invoke(capsys, "normalize",
                          str(corpus_dir / "square.json"),

@@ -30,14 +30,14 @@ def test_no_assert_statements_in_the_package():
 
 # the integer sweeps of the PL kernel; Fraction belongs to its boundary
 SWEEPS = {"compose", "inverse", "tensor", "_blocks", "_canonical", "_lerp",
-          "_lowest"}
+          "_lowest", "_ratio", "_straighten"}
 
 # the path layers read a length as the (num, den) pair ending ``pts``
 PAIR_READERS = {
     "cellcomplex.py": {"Complex._measure", "Complex._lay", "repar_normal",
                        "_lands_on"},
     "reparam.py": {"absorb"},
-    "gspace.py": {"elem_make"},
+    "gspace.py": {"elem_make", "elem_normalize"},
 }
 FRACTION_VIEWS = {"src_len", "dst_len", "total_len", "length", "breaks"}
 

@@ -23,6 +23,7 @@ from dipath.errors import (
     EngineError,
     NoBoundaryDataError,
     NotComposableHereError,
+    OutOfDomainError,
     UnknownCellError,
     WrongEndpointsError,
 )
@@ -486,6 +487,19 @@ def test_time_laws_must_land_exactly_on_the_unit_interval():
     assert cx.check_normal_path(path) is path
     assert cx.normalize(Step("e", (), chi)) == path
     assert make_elem(flag1, [CellPath((F(0),), chi)], cx).entries[0].chi == chi
+
+
+def test_cell_point_details_print_rationals():
+    cx = validate(segment_desc())
+    flag1 = make_obj("0", "1", [("0", 1, "1")])
+    with pytest.raises(OutOfDomainError) as outside:
+        make_elem(flag1, [CellPath((F(3, 2),), mu(1))], cx)
+    assert str(outside.value) == "cell point (3/2) outside the closed disk"
+    e = make_elem(flag1, [CellPath((F(3, 5), F(4, 5)), mu(1))], cx)
+    with pytest.raises(NoBoundaryDataError) as formal:
+        normalize_elem(e, cx, Cell("h", 2, "0", "1"))
+    assert str(formal.value) == ("no boundary interpretation for a "
+                                 "dimension-2 cell point (3/5, 4/5)")
 
 
 def test_make_obj_reports_conversion_then_chain_then_flag():

@@ -148,6 +148,15 @@ def test_make_pl_rejects_bad_endpoints():
         make_pl(1, 1, [(1, 1)])
 
 
+def test_bad_endpoint_details_print_rationals():
+    with pytest.raises(BadEndpointsError) as first:
+        make_pl(1, 1, [(0, F(1, 2)), (1, 1)])
+    assert str(first.value) == "first break must be (0, 0), got (0, 1/2)"
+    with pytest.raises(BadEndpointsError) as last:
+        make_pl(2, 1, [(0, 0), (F(3, 2), 1)])
+    assert str(last.value) == "last break must be (2, 1), got (3/2, 1)"
+
+
 def test_make_pl_rejects_non_monotonic():
     with pytest.raises(NonMonotonicError):
         make_pl(1, 1, [(0, 0), (F(1, 2), F(3, 4)), (F(1, 2), F(7, 8)), (1, 1)])
@@ -197,6 +206,15 @@ def test_compose_of_mutually_inverse_maps():
     for t in (F(1, 8), F(1, 3), F(1, 2), F(2, 3), F(9, 10)):
         assert pl_eval(comp, t) == t
     assert comp == identity(1)
+
+
+def test_compose_with_inverse_straightens_every_tie_of_a_long_map():
+    # every interior break of phi meets one of inverse(phi): 126 ties, each
+    # collinear in the composite
+    phi = make_pl(1, 1, [(F(k, 127), F(k * k, 127 * 127)) for k in range(128)])
+    assert len(phi.pts) == 128
+    assert compose(phi, inverse(phi)) == identity(1)
+    assert compose(inverse(phi), phi) == identity(1)
 
 
 def test_compose_length_mismatch():
@@ -429,6 +447,22 @@ def test_canonical_leaves_no_collinear_break(data):
         assert (y2 - y1) * (x3 - x2) != (y3 - y2) * (x2 - x1)
 
 
+def assert_composite_is_canonical_oracle(phi, psi):
+    """compose(phi, psi) equals make_pl of the oracle's values at every
+    break of either map: the fully canonical composite."""
+    comp = compose(phi, psi)
+    pulled = [oracle_eval([(y, x) for x, y in phi.breaks], u)
+              for u, _ in psi.breaks]
+    times = sorted({x for x, _ in phi.breaks} | set(pulled))
+    assert comp == make_pl(phi.src_len, psi.dst_len, [
+        (t, oracle_eval(psi.breaks, oracle_eval(phi.breaks, t)))
+        for t in times])
+    assert_canonical_points(comp)
+    out = comp.breaks
+    for (x1, y1), (x2, y2), (x3, y3) in zip(out, out[1:], out[2:]):
+        assert (y2 - y1) * (x3 - x2) != (y3 - y2) * (x2 - x1)
+
+
 @PROPERTY
 @given(st.data(), st.sampled_from(["left", "right", "both"]))
 def test_compose_with_a_linear_map_matches_pointwise_oracle(data, linear):
@@ -437,17 +471,73 @@ def test_compose_with_a_linear_map_matches_pointwise_oracle(data, linear):
            else data.draw(pl_maps(src, mid, max_breaks=64)))
     psi = (make_pl(mid, dst, [(0, 0), (mid, dst)]) if linear != "left"
            else data.draw(pl_maps(mid, dst, max_breaks=64)))
-    comp = compose(phi, psi)
-    pulled = [oracle_eval([(y, x) for x, y in phi.breaks], u)
-              for u, _ in psi.breaks]
-    times = sorted({x for x, _ in phi.breaks} | set(pulled))
-    assert comp == make_pl(src, dst, [
-        (t, oracle_eval(psi.breaks, oracle_eval(phi.breaks, t)))
-        for t in times])
-    assert_canonical_points(comp)
-    out = comp.breaks
-    for (x1, y1), (x2, y2), (x3, y3) in zip(out, out[1:], out[2:]):
-        assert (y2 - y1) * (x3 - x2) != (y3 - y2) * (x2 - x1)
+    assert_composite_is_canonical_oracle(phi, psi)
+
+
+@st.composite
+def tied_pairs(draw):
+    """phi and psi with 2-64 breaks each, psi's abscissas drawn partly from
+    phi's break values, so that both maps often break at one point.  On
+    half the draws psi starts as inverse(phi), scaled, up to one of those
+    values: the composite is linear there, and every tie on it straightens."""
+    phi = draw(pl_maps(max_breaks=64))
+    start = [(F(0), F(0))]
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([F(1), F(2), F(1, 3)]))
+        j = draw(st.integers(1, len(phi.pts) - 1))
+        start = [(y, c * x) for x, y in phi.breaks[:j + 1]]
+    (u0, v0), mid = start[-1], phi.dst_len
+    if u0 == mid:
+        return phi, make_pl(mid, v0, start)
+    room = (63 - len(start)) // 2
+    inner = [y for _, y in phi.breaks if u0 < y < mid]
+    shared = draw(st.sets(st.sampled_from(inner), max_size=room)) if inner else ()
+    own = [u0 + u for u in grid_points(draw, mid - u0,
+                                       draw(st.integers(0, room)))]
+    us = sorted({*shared, *own})
+    rise = draw(lengths)
+    vs = [v0 + v for v in grid_points(draw, rise, len(us))]
+    return phi, make_pl(mid, v0 + rise,
+                        [*start, *zip(us, vs), (mid, v0 + rise)])
+
+
+@PROPERTY
+@given(tied_pairs())
+def test_compose_of_long_maps_with_ties_matches_pointwise_oracle(case):
+    assert_composite_is_canonical_oracle(*case)
+
+
+@st.composite
+def junction_blocks(draw):
+    """2-8 blocks: general maps, and linear maps of slope 1, 2, or the
+    slope of the block before's last piece, so that some junctions join
+    equal slopes and others do not."""
+    blocks = []
+    for _ in range(draw(st.integers(2, 8))):
+        kind = draw(st.sampled_from(["general", "1", "2", "same"]))
+        if kind == "general":
+            blocks.append(draw(pl_maps(max_breaks=12)))
+            continue
+        if kind == "same" and blocks:
+            (x1, y1), (x2, y2) = blocks[-1].breaks[-2:]
+            slope = (y2 - y1) / (x2 - x1)
+        else:
+            slope = F(2 if kind == "2" else 1)
+        src = draw(lengths)
+        blocks.append(make_pl(src, slope * src, [(0, 0), (src, slope * src)]))
+    return blocks
+
+
+@PROPERTY
+@given(junction_blocks())
+def test_tensor_straightens_exactly_the_junctions_of_equal_slope(blocks):
+    raw, x0, y0 = [(F(0), F(0))], F(0), F(0)
+    for block in blocks:
+        raw += [(x0 + x, y0 + y) for x, y in block.breaks[1:]]
+        x0, y0 = raw[-1]
+    out = tensor(*blocks)
+    assert out == make_pl(x0, y0, raw)
+    assert_canonical_points(out)
 
 
 def pointwise_equal(phi, psi):

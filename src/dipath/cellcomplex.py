@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .errors import (
     BadDimError,
@@ -218,28 +218,21 @@ class Complex:
     """A validated complex together with its path operations.
 
     ``Complex(states)`` is the complex with no cells; :meth:`extend` attaches
-    one cell, and :func:`validate` folds ``extend`` over a description.  A
-    complex is immutable: assigning or deleting an attribute raises, and the
-    tables a child copies from its parent are never written after
-    construction.  What changes is cached: ``desc`` and
-    ``topological_order`` (None when the cells form a directed cycle;
-    ``loop_free`` reads it), computed on first read, and the carrier
-    tables, one per bound.
+    cells, and :func:`validate` attaches a description's cells in one
+    ``extend``.  A complex is immutable: assigning or deleting an attribute
+    raises, and its tables are never written once ``extend`` has returned
+    it.  What changes is cached: ``desc`` and ``topological_order`` (None
+    when the cells form a directed cycle; ``loop_free`` reads it), computed
+    on first read, and the carrier tables, one per bound.
     """
 
     def __init__(self, states: tuple[str, ...]):
         states = tuple(states)
         if len(set(states)) != len(states):
             raise UnknownStateError("state names must be distinct")
-        self._fill(states, {}, {}, {s: () for s in states})
-
-    def _fill(self, states: tuple[str, ...], cells: dict[str, Cell],
-              boundaries: dict[str, tuple[NormalPath, NormalPath]],
-              arcs: dict[str, tuple[Cell, ...]]) -> None:
         # cells in attachment order; arcs by source state, sorted by id
-        vars(self).update(
-            states=states, _cells=cells, _boundaries=boundaries, _arcs=arcs,
-            _carrier_tables={})
+        vars(self).update(states=states, _cells={}, _boundaries={},
+                          _arcs=dict.fromkeys(states, ()), _carrier_tables={})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Complex is immutable: cannot set {name!r}")
@@ -274,26 +267,32 @@ class Complex:
         """Whether no directed cycle of cells exists."""
         return self.topological_order is not None
 
-    def extend(self, cell: Cell) -> "Complex":
-        """This complex with ``cell`` attached last.
+    def extend(self, *cells: Cell) -> "Complex":
+        """This complex with ``cells`` attached last, in order.
 
-        Only the new cell is admitted: its id and states, and for a globe
-        its two boundary paths, normalized here, where every cell they may
-        use is already attached.  The child copies the parent's cell,
-        boundary and arc tables (sharing their immutable values) and starts
-        with empty caches."""
-        if cell.id in self._cells:
-            raise UnknownCellError("cell ids must be distinct")
-        boundary = self._admit(cell)
-        boundaries = self._boundaries
-        if boundary is not None:
-            boundaries = {**boundaries, cell.id: boundary}
-        arcs = dict(self._arcs)
-        arcs[cell.src] = tuple(sorted(arcs[cell.src] + (cell,),
-                                      key=attrgetter("id")))
-        child = object.__new__(Complex)
-        child._fill(self.states, {**self._cells, cell.id: cell}, boundaries,
-                    arcs)
+        The child copies the parent's cell, boundary and arc tables once
+        (sharing their immutable values), then admits each new cell against
+        the cells before it, parent's and new: its id and states, and for a
+        globe its two boundary paths, normalized there.  Each source state
+        that gained cells then gets one new arc tuple, sorted by id.  After
+        that the child is never written again, and it starts with empty
+        caches."""
+        child = Complex(self.states)
+        child._cells.update(self._cells)
+        child._boundaries.update(self._boundaries)
+        child._arcs.update(self._arcs)
+        added: dict[str, list[Cell]] = {}
+        for cell in cells:
+            if cell.id in child._cells:
+                raise UnknownCellError("cell ids must be distinct")
+            boundary = child._admit(cell)
+            if boundary is not None:
+                child._boundaries[cell.id] = boundary
+            child._cells[cell.id] = cell
+            added.setdefault(cell.src, []).append(cell)
+        for state, new in added.items():
+            child._arcs[state] = tuple(sorted((*child._arcs[state], *new),
+                                              key=attrgetter("id")))
         return child
 
     # -- construction-time checks
@@ -356,11 +355,13 @@ class Complex:
         """The unique normal form of ``expr``, in two passes over the tree.
 
         Bottom-up, every check is made and each node's endpoints and length
-        found.  Top-down, each subtree's pending map is carried (none at the
-        root): a Repar composes it with phi, a NormComp with t |-> 2t, a
-        concatenation splits it at its two lengths, and a step composes it
-        into its time law once; a boundary step reparametrizes its attached
-        boundary by that law, and a nested ``NormalPath`` absorbs it.
+        found; a ``NormalPath``, at the root or nested, is checked by
+        :meth:`check_normal_path`.  Top-down, each subtree's pending map is
+        carried (none at the root): a Repar composes it with phi, a NormComp
+        with t |-> 2t, a concatenation splits it at its two lengths, and a
+        step composes it into its time law once; a boundary step
+        reparametrizes its attached boundary by that law, and a
+        ``NormalPath`` absorbs it.
 
         This is the result of the bottom-up fold, where each level absorbs
         its map into every segment below it: each segment gets the same
@@ -370,8 +371,6 @@ class Complex:
         subtree, node), so the fold's first fault raises, with its class and
         message.
         """
-        if isinstance(expr, NormalPath):
-            return expr
         cuts: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
         start, end, _ = self._measure(expr, cuts)
         segs: list[Seg] = []
@@ -543,27 +542,22 @@ class Complex:
 
 
 def validate(desc: ComplexDesc) -> Complex:
-    """Check every structural invariant and return the usable complex.
-
-    State names and cell ids are checked for repeats first; then the cells
-    are attached one at a time by :meth:`Complex.extend`, each admitted
-    against the cells before it."""
-    for cx in prefix_complexes(desc):
-        pass
-    return cx
+    """Check every structural invariant and return the usable complex: one
+    :meth:`Complex.extend` of :func:`empty_complex` attaches the cells, each
+    admitted against the cells before it, in time linear in ``desc`` up to
+    one sort of each state's arcs."""
+    return empty_complex(desc).extend(*desc.cells)
 
 
-def prefix_complexes(desc: ComplexDesc) -> Iterator[Complex]:
-    """The fold behind :func:`validate`, one complex per prefix of the cells:
-    the complex with no cells first and the whole complex last."""
-    cx = Complex(desc.states)
+def empty_complex(desc: ComplexDesc) -> Complex:
+    """The complex of ``desc``'s states with no cells, once its state names
+    and then its cell ids are known distinct, so that a repeated id is
+    refused before any cell is admitted."""
+    empty = Complex(desc.states)
     ids = [c.id for c in desc.cells]
     if len(set(ids)) != len(ids):
         raise UnknownCellError("cell ids must be distinct")
-    yield cx
-    for cell in desc.cells:
-        cx = cx.extend(cell)
-        yield cx
+    return empty
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +605,7 @@ def normal_path_to_json(np: NormalPath) -> dict:
         "to": np.end,
         "segs": [{"cell": s.cell,
                   "z": [format_fraction(v) for v in s.z],
-                  "len": format_fraction(s.length),
+                  "len": format_ratio(*s.chi.pts[-1][:2]),
                   "chi": s.chi.to_json()} for s in np.segs],
     }
 

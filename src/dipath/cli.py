@@ -17,9 +17,9 @@ from .cellcomplex import (
     Moore,
     NormComp,
     complex_from_json,
+    empty_complex,
     expr_from_json,
     normal_path_to_json,
-    prefix_complexes,
     validate,
 )
 from .errors import BadInputError, EngineError, UnknownCellError
@@ -45,15 +45,15 @@ def _load_complex(path: str):
 
 def _split_at_cell(path: str, cell_id: str):
     """The base complex before the named cell, plus the cell itself.  The
-    whole complex is validated as by :func:`_load_complex`, and the base is
-    the prefix complex kept from that same fold."""
+    whole complex is validated as by :func:`_load_complex`: the base is
+    built first, and the rest of the cells are then admitted on top of it,
+    so an unknown cell is reported only once every cell has passed."""
     desc = complex_from_json(_load_json(path))
     ids = [c.id for c in desc.cells]
-    index = ids.index(cell_id) if cell_id in ids else None
-    for i, cx in enumerate(prefix_complexes(desc)):
-        if i == index:
-            base = cx
-    if index is None:
+    index = ids.index(cell_id) if cell_id in ids else len(ids)
+    base = empty_complex(desc).extend(*desc.cells[:index])
+    base.extend(*desc.cells[index:])
+    if index == len(ids):
         raise UnknownCellError(f"unknown cell {cell_id}")
     return base, desc.cells[index]
 

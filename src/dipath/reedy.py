@@ -357,18 +357,18 @@ class WitnessPaths:
 
 
 def _shapes(base: Complex, cell: Cell, bound: int, paths: WitnessPaths,
-            through: CellPath, single_runs: bool):
+            through: CellPath):
     """Carrier words of the pushout generated from simplified shapes, each
     with the slots of its witness element.
 
     A shape is a0 [cell] a1 [cell] ... [cell] ak where each run a_i is an
     A-carrier (possibly empty when its endpoints coincide) and no two runs
-    are adjacent.  Shapes are yielded as (word, triples, entries) by their
-    number k of passes: a nonempty run is the slot ``paths`` hands out for
-    its word, an empty run holds no slot, and a pass holds ``through``.
+    are adjacent.  The shapes with k >= 1 passes are yielded as (word,
+    triples, entries) by k: a nonempty run is the slot ``paths`` hands out
+    for its word, an empty run holds no slot, and a pass holds ``through``.
     A last run ends at its start or at a state in its row of the table.  The
-    k=0 shapes, single runs of the base, come first, and only with
-    ``single_runs``: a counit step has their words carried over already.
+    k=0 shapes, single runs of the base, are not yielded: their words are
+    the base's carriers, which the caller carries over.
     """
     table = base.carrier_table(bound)
     rows = {a: {a: None} for a in base.states}
@@ -393,36 +393,38 @@ def _shapes(base: Complex, cell: Cell, bound: int, paths: WitnessPaths,
                 for a, rest, w, t, e in ends
                 for run, run_t, run_e in runs(a, u, rest - 1)]
 
-    # the shapes cut right after their k-th pass, for k = 0, 1, ...: the
+    # the shapes cut right after their k-th pass, for k = 1, 2, ...: the
     # state reached, the budget left, the word and the slots so far
-    ends = [(start, bound, (), (), ()) for start in base.states]
-    if not single_runs:
-        ends = passes(ends)
+    ends = passes([(start, bound, (), (), ()) for start in base.states])
     while ends:
         for a, rest, w, t, e in ends:
             for target in rows[a]:
                 for last, last_t, last_e in runs(a, target, rest):
-                    if w or last:
-                        yield w + last, t + last_t, e + last_e
+                    yield w + last, t + last_t, e + last_e
         ends = passes(ends)
 
 
 def pushout_check(base: Complex, cell: Cell, bound: int) -> dict:
-    """Compare base-side interleavings against pushout carriers.
+    """Compare base-side interleavings against pushout carriers: one counit
+    step (see :func:`_check_pushout`) that carries every base carrier as a
+    fresh run, whose slot path is checked against both complexes.
 
-    The left list enumerates carrier words from simplified element shapes,
-    instantiating one witness element per shape and checking that it is a
-    rewriting fixpoint whose realization has the predicted carrier.  The
-    right list enumerates the pushout's carriers directly.  Both are sorted
-    lists of word tuples, which JSON prints as arrays.
+    The left list holds those words and the word of every witnessed shape
+    with k >= 1 passes through the cell; the right list enumerates the
+    pushout's carriers directly.  Both are sorted lists of word tuples,
+    which JSON prints as arrays.
     """
-    return _check_pushout(base, pushout_complex(base, cell), cell, bound,
-                          WitnessPaths(base.desc.cells), None)[0]
+    pushout = pushout_complex(base, cell)
+    table = base.carrier_table(bound)
+    fresh = [(w, a, b) for (a, b), words in table.items() for w in words]
+    carried = sorted(w for w, _, _ in fresh), fresh
+    return _check_pushout(base, pushout, cell, bound,
+                          WitnessPaths(base.desc.cells), carried)[0]
 
 
 def _check_pushout(base: Complex, pushout: Complex, cell: Cell,
                    bound: int, paths: WitnessPaths,
-                   carried: tuple[list, list] | None
+                   carried: tuple[list, list]
                    ) -> tuple[dict, tuple[list, list]]:
     """:func:`pushout_check` against an already built pushout, with witness
     slots taken from ``paths``, which must know every base cell; the report
@@ -437,24 +439,22 @@ def _check_pushout(base: Complex, pushout: Complex, cell: Cell,
     ``pushout`` (which checks each base slot again, against ``pushout``),
     and its carrier compared with the shape's word.
 
-    With ``carried`` None that runs for every shape.  Otherwise ``base`` is
-    the pushout of the counit step that returned ``carried``, and only
-    shapes with k >= 1 passes are witnessed (see :func:`counit_check`): a
-    k=0 shape is one flag-0 slot along a base carrier, which no rule
-    touches (merging needs two adjacent flag-0 slots, lowering acts on
-    flag-1 slots), so it realizes to its slot path.  Its word comes from the
-    carried words, merged into the left list as the same tuple, and its
-    slot path is checked against ``base`` and then ``pushout`` only while
-    it is a fresh run."""
-    words, fresh = carried or ([], [])
+    That runs only for the shapes with k >= 1 passes (see
+    :func:`counit_check`).  ``carried`` holds the base's carriers, sorted,
+    and the fresh runs among them: a k=0 shape is one flag-0 slot along a
+    base carrier, which no rule touches (merging needs two adjacent flag-0
+    slots, lowering acts on flag-1 slots), so it realizes to its slot path.
+    Its word comes from the carried words, merged into the left list as the
+    same tuple, and its slot path is checked against ``base`` and then
+    ``pushout`` only while it is a fresh run."""
+    words, fresh = carried
     for word, a, b in fresh:
         path = paths.slot(word, a, b)[1].path
         pushout.check_normal_path(base.check_normal_path(path))
     through = CellPath((_ZERO,) * cell.disk_dim, _UNIT)
     u, v = cell.src, cell.dst
     new, fresh = [], []
-    for word, triples, entries in _shapes(base, cell, bound, paths, through,
-                                          carried is None):
+    for word, triples, entries in _shapes(base, cell, bound, paths, through):
         new.append(word)
         fresh.append((word, triples[0][0], triples[-1][2]))
         elem = make_elem(make_obj(u, v, triples), entries, base)

@@ -144,7 +144,8 @@ def make_pl(src_len, dst_len, breaks: Iterable) -> PLHomeo:
             (x1, y1), (x2, y2) = pairs[i - 1], pairs[i]
             raise NonMonotonicError(
                 f"breaks must strictly increase: ({x1},{y1}) then ({x2},{y2})")
-    return PLHomeo(_canonical(pts))
+    # a Fraction's terms are lowest already: only collinear breaks go
+    return PLHomeo(_straighten(pts, range(1, len(pts) - 1)))
 
 
 def scale(src_len, dst_len) -> PLHomeo:

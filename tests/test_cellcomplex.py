@@ -764,7 +764,7 @@ def kahn_loop_free(desc):
 
 def assert_same_complex(cx, other, desc):
     """cx and other both hold exactly desc: cells, boundaries, loop
-    freedom, arc order and carrier tables."""
+    freedom, topological order, arc order and carrier tables."""
     for c in (cx, other):
         assert c.desc == desc and c.states == desc.states
         assert [c.cell(x.id) for x in desc.cells] == list(desc.cells)
@@ -773,36 +773,117 @@ def assert_same_complex(cx, other, desc):
             want = sorted((x for x in desc.cells if x.src == s),
                           key=lambda x: x.id)
             assert list(c._arcs[s]) == want
+    assert cx.topological_order == other.topological_order
     for x in desc.cells:
         if x.disk_dim == 1:
             assert cx.boundary_normal(x.id) == other.boundary_normal(x.id)
             minus, plus = other.boundary_normal(x.id)
             assert minus == cx.normalize(x.boundary_minus)
             assert plus == cx.normalize(x.boundary_plus)
-    assert cx.carrier_table(3) == other.carrier_table(3)
+    for bound in range(6):
+        assert cx.carrier_table(bound) == other.carrier_table(bound)
     if cx.loop_free:
         assert cx.carrier_table() == other.carrier_table()
+
+
+def extend_chain(desc):
+    """The complex of ``desc`` built by one ``extend`` call per cell."""
+    cx = Complex(desc.states)
+    for cell in desc.cells:
+        cx = cx.extend(cell)
+    return cx
 
 
 def test_validate_is_a_fold_of_extend():
     from helpers import rand_loopfree_complex
 
-    from dipath.cellcomplex import Complex
-
-    rng = Random(5)
-    descs = list(CORPUS.values()) + [rand_loopfree_complex(rng).desc
-                                     for _ in range(12)]
+    descs = list(CORPUS.values()) + [rand_loopfree_complex(Random(seed)).desc
+                                     for seed in range(50)]
     for desc in descs:
-        folded = Complex(desc.states)
-        for cell in desc.cells:
-            folded = folded.extend(cell)
-        assert_same_complex(validate(desc), folded, desc)
-        # extending a validated prefix equals validating the longer one
+        assert_same_complex(validate(desc), extend_chain(desc), desc)
+        # extending a validated prefix by one cell equals validating the
+        # longer prefix, and by the rest equals validating the whole
         for k, cell in enumerate(desc.cells):
             shorter = ComplexDesc(desc.states, desc.cells[:k])
             longer = ComplexDesc(desc.states, desc.cells[:k + 1])
             assert_same_complex(validate(shorter).extend(cell),
                                 validate(longer), longer)
+            assert_same_complex(validate(shorter).extend(*desc.cells[k:]),
+                                validate(desc), desc)
+
+
+def malformed_descs():
+    """Descriptions with one fault each, built from the corpus fixtures."""
+    tri, sq = CORPUS["triangle"], CORPUS["square"]
+    fill = tri.cells[-1]
+    yield ComplexDesc(("a", "a"), ())
+    yield ComplexDesc(tri.states, tri.cells + (edge("a", "al", "ga"),))
+    yield ComplexDesc(tri.states, tri.cells[:2] + (edge("e", "al", "zz"),))
+    yield ComplexDesc(tri.states, tri.cells[:2] + (edge("e", "zz", "ga"),))
+    yield ComplexDesc(tri.states, (fill,) + tri.cells[:3])
+    yield ComplexDesc(tri.states, tri.cells[:3] + (
+        globe("t", "al", "be", fill.boundary_minus, fill.boundary_plus),))
+    yield ComplexDesc(tri.states, tri.cells[:3] + (
+        globe("t", "al", "ga", Moore(estep("a"), estep("b")), estep("e")),))
+    yield ComplexDesc(tri.states, tri.cells[:3] + (
+        globe("t", "al", "ga", fill.boundary_minus,
+              gstep("a", F(1, 2))),))
+    yield ComplexDesc(tri.states, tri.cells[:3] + (
+        Cell("t", 2, "al", "ga"),))
+    yield ComplexDesc(tri.states, tri.cells[:3] + (Cell("t", 1, "al", "ga"),))
+    yield ComplexDesc(sq.states, sq.cells[:4] + (
+        Cell("x", 0, "bot", "top", boundary_minus=estep("a")),))
+    yield ComplexDesc(sq.states, sq.cells[:4] + (
+        globe("sq", "bot", "top", NormComp(estep("a"), estep("d")),
+              sq.cells[-1].boundary_plus),))
+
+
+def test_validate_and_the_extend_chain_refuse_alike():
+    def outcome(make, desc):
+        try:
+            make(desc)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return None
+
+    seen = set()
+    for desc in malformed_descs():
+        fault = outcome(validate, desc)
+        assert fault is not None and fault == outcome(extend_chain, desc)
+        seen.add(fault[0])
+    assert seen == {UnknownStateError, UnknownCellError,
+                    ForwardReferenceError, BoundaryEndpointMismatchError,
+                    BadLengthError, BadDimError, EndpointMismatchError}
+
+
+def test_validate_runs_in_linear_time():
+    # a fold that copied the tables once per cell took about 50 (edges)
+    # and 75 (globes) times as long for 8,000 cells as for 1,000; one copy
+    # per extend call takes about 7-10 times as long
+    import gc
+    import time
+
+    def parallel(n):
+        return ComplexDesc(("0", "1"), tuple(edge(f"e{i}", "0", "1")
+                                             for i in range(n)))
+
+    def globes(n):
+        return ComplexDesc(("0", "1"), (edge("e", "0", "1"),) + tuple(
+            globe(f"g{i}", "0", "1", estep("e"), estep("e"))
+            for i in range(n)))
+
+    def cpu_time(desc):
+        times = []
+        for _ in range(3):
+            gc.collect()
+            start = time.process_time()
+            validate(desc)
+            times.append(time.process_time() - start)
+        return min(times)
+
+    for family in (parallel, globes):
+        small, large = cpu_time(family(1000)), cpu_time(family(8000))
+        assert large / small <= 20, (family.__name__, small, large)
 
 
 def test_extend_leaves_the_parent_unchanged():
@@ -942,6 +1023,20 @@ def test_nested_normal_paths_are_checked_against_the_complex():
     with pytest.raises(BadInputError, match="at least one segment"):
         cx.normalize(Repar(Moore(empty, Step("e", (), identity(1))),
                            identity(1)))
+
+
+def test_a_top_level_normal_path_is_checked_as_a_nested_one():
+    # normalize and carrier refuse a path through an unknown cell whether
+    # it stands alone or sits in an expression, and return a valid one as
+    # it is
+    cx = build("loop_heavy")
+    through_zz = NormalPath("0", "1", (Seg("zz", (), identity(1)),))
+    for call in (cx.normalize, cx.carrier):
+        with pytest.raises(UnknownCellError, match="unknown cell zz"):
+            call(through_zz)
+    through_e = NormalPath("0", "1", (Seg("e", (), identity(1)),))
+    assert cx.normalize(through_e) == through_e
+    assert cx.carrier(through_e) == ("e",)
 
 
 # ---------------------------------------------------------------------------

@@ -393,18 +393,18 @@ def test_pushout_check_cli(corpus_dir, capsys):
 ], ids=["pushout_check", "reedy_normalize", "unknown_cell"])
 def test_split_at_cell_folds_the_complex_once(corpus_dir, capsys, monkeypatch,
                                               argv, after):
-    # the base complex before --cell is kept from the fold that validates
-    # the whole complex: one extend per cell, not a second fold of a prefix;
-    # pushout_check then attaches the cell to the base once more, to build
-    # the pushout it checks
+    # the base complex before --cell is validated, and the rest of the
+    # cells admitted on top of it: each cell is admitted once, not again in
+    # a second pass over a prefix; pushout_check then attaches the cell to
+    # the base once more, to build the pushout it checks
     calls = []
-    extend = Complex.extend
+    admit = Complex._admit
 
     def counted(cx, cell):
         calls.append(cell.id)
-        return extend(cx, cell)
+        return admit(cx, cell)
 
-    monkeypatch.setattr(Complex, "extend", counted)
+    monkeypatch.setattr(Complex, "_admit", counted)
     status, out = invoke(capsys, *(a.format(
         c=corpus_dir / "triangle.json",
         e=corpus_dir / "elem_two_runs.json") for a in argv))

@@ -35,7 +35,7 @@ SWEEPS = {"compose", "inverse", "tensor", "_blocks", "_canonical", "_lerp",
 # the path layers read a length as the (num, den) pair ending ``pts``
 PAIR_READERS = {
     "cellcomplex.py": {"Complex._measure", "Complex._lay", "repar_normal",
-                       "_lands_on"},
+                       "_lands_on", "normal_path_to_json"},
     "reparam.py": {"absorb"},
     "gspace.py": {"elem_make", "elem_normalize"},
 }

@@ -357,12 +357,21 @@ def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
 
 @pytest.mark.parametrize("source", sorted(CORPUS) + list(range(6)))
 def test_pushout_check_alone_witnesses_every_shape(monkeypatch, source):
-    # the stand-alone check has no earlier step, so on every prefix it
-    # builds, tests and realizes a witness for every shape, k=0 included
+    # the stand-alone check is one counit step whose carried words are the
+    # base's carriers: on every prefix it builds, tests and realizes a
+    # witness for every shape through the cell (k >= 1), and checks the
+    # slot path of every base word once against each of its two complexes,
+    # on top of the checks each witness makes of its own slots
+    from collections import Counter
+
     import dipath.reedy as reedy
 
+    cx = (build(source) if isinstance(source, str)
+          else rand_loopfree_complex(Random(source)))
+    cells = cx.desc.cells
     seen = {}
     is_simplified, realize = reedy.is_simplified, reedy.realize
+    attach, check = reedy.pushout_complex, Complex.check_normal_path
 
     def simplified_spy(elem, base, cell):
         seen["simplified"] += 1
@@ -370,23 +379,39 @@ def test_pushout_check_alone_witnesses_every_shape(monkeypatch, source):
 
     def realize_spy(elem, pushout, cell_id):
         seen["realized"] += 1
-        seen["runs"] += (len(elem.entries) == 1
-                         and isinstance(elem.entries[0], reedy.APath))
+        seen["slots"].update(e.path.carrier() for e in elem.entries
+                             if isinstance(e, reedy.APath))
         return realize(elem, pushout, cell_id)
+
+    def attach_spy(base, cell):
+        seen["pushout"] = attach(base, cell)
+        return seen["pushout"]
+
+    def check_spy(self, np):
+        side = ("on_base" if self is seen["base"] else
+                "on_pushout" if self is seen.get("pushout") else "elsewhere")
+        seen[side][np.carrier()] += 1
+        return check(self, np)
 
     monkeypatch.setattr(reedy, "is_simplified", simplified_spy)
     monkeypatch.setattr(reedy, "realize", realize_spy)
-    cx = (build(source) if isinstance(source, str)
-          else rand_loopfree_complex(Random(source)))
-    cells = cx.desc.cells
+    monkeypatch.setattr(reedy, "pushout_complex", attach_spy)
+    monkeypatch.setattr(Complex, "check_normal_path", check_spy)
     for i, cell in enumerate(cells):
-        seen.update(simplified=0, realized=0, runs=0)
         base = validate(ComplexDesc(cx.states, cells[:i]))
+        seen.update(simplified=0, realized=0, slots=Counter(), base=base,
+                    on_base=Counter(), on_pushout=Counter(),
+                    elsewhere=Counter())
+        seen.pop("pushout", None)
         report = pushout_check(base, cell, 5)
         shapes = report["lhs_carriers"]
+        runs = Counter(w for ws in base.carrier_table(5).values() for w in ws)
         assert report["bijection"]
-        assert seen["simplified"] == seen["realized"] == len(shapes)
-        assert seen["runs"] == sum(cell.id not in w for w in shapes)
+        assert seen["simplified"] == seen["realized"] == sum(
+            cell.id in w for w in shapes)
+        assert sorted(runs) == [w for w in shapes if cell.id not in w]
+        assert seen["on_base"] == seen["on_pushout"] == seen["slots"] + runs
+        assert not seen["elsewhere"]
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -397,10 +422,11 @@ def test_counit_steps_split_carriers_into_old_and_new(source, bound):
     # the counting half of the counit check's lemma: the k=0 words of a
     # step are the carriers of its base, and the k >= 1 words of all the
     # steps are the carriers of the whole complex, each exactly once
-    from dipath.cellcomplex import prefix_complexes
-
     cx = (build(source) if isinstance(source, str)
           else rand_loopfree_complex(Random(source)))
+    cells = cx.desc.cells
+    prefixes = [validate(ComplexDesc(cx.states, cells[:i]))
+                for i in range(len(cells))]
     report = counit_check(cx, bound)
     assert report["ok"]
 
@@ -409,7 +435,7 @@ def test_counit_steps_split_carriers_into_old_and_new(source, bound):
                       for w in ws)
 
     new = []
-    for step, base in zip(report["steps"], prefix_complexes(cx.desc)):
+    for step, base in zip(report["steps"], prefixes):
         assert [w for w in step["lhs_carriers"]
                 if step["cell"] not in w] == carriers(base)
         new += [w for w in step["lhs_carriers"] if step["cell"] in w]
@@ -423,13 +449,14 @@ def test_counit_report_shares_equal_carrier_lists(corpus_dir, capsys):
     import json
     import operator
 
-    from dipath.cellcomplex import prefix_complexes
     from dipath.cli import run
 
     for name in ("double_globe", "loop_heavy", "grid21"):
         cx = build(name)
         report = counit_check(cx, 4)
-        pushouts = list(prefix_complexes(cx.desc))[1:]
+        cells = cx.desc.cells
+        pushouts = [validate(ComplexDesc(cx.states, cells[:i]))
+                    for i in range(1, len(cells) + 1)]
         want = [sorted(w for words in px.carrier_table(4).values()
                        for w in words) for px in pushouts]
         assert report["ok"]
@@ -535,6 +562,29 @@ def test_a_bad_shared_slot_time_law_fails_the_first_step_using_it(
         step = _first_step_using(cx, word)
         assert began == [c.id for c in cells[:step + 1]]
         assert counit_check(cx, 3)["ok"]
+
+
+@pytest.mark.parametrize("name, word", [("double_globe", ("g1", "e2p")),
+                                        ("stacked_globe", ("g12",))])
+def test_a_bad_slot_of_a_lone_run_fails_the_stand_alone_check(
+        monkeypatch, name, word):
+    # the word is a carrier of the base before the last cell that no shape
+    # through that cell extends, so only the check of its slot path as a
+    # base run can catch it
+    from dipath.cellcomplex import Seg
+    from dipath.errors import OutOfDomainError
+
+    cx = build(name)
+    *before, cell = cx.desc.cells
+    base = validate(ComplexDesc(cx.states, tuple(before)))
+    report = pushout_check(base, cell, 5)
+    assert word in report["lhs_carriers"]
+    assert not any(cell.id in w and w[:len(word)] == word
+                   for w in report["lhs_carriers"])
+    _poison_slot(monkeypatch, word,
+                 lambda seg: Seg(seg.cell, (F(2),), seg.chi))
+    with pytest.raises(OutOfDomainError, match="segment point"):
+        pushout_check(base, cell, 5)
 
 
 def test_fundamental_category_oracle_on_random_complexes():

@@ -32,11 +32,9 @@ from .errors import EngineError
 from .gspace import (
     FreeGSpace,
     TensorElem,
-    elem_equal,
     elem_make,
     elem_normalize,
     free,
-    tensor_free,
 )
 from .mooreflow import (
     FlowPresentation,
@@ -44,10 +42,8 @@ from .mooreflow import (
     chain_complex,
     chain_path_space,
     counit_check,
-    flow_of_gflow,
     fundamental_category,
     globe_roundtrip,
-    mgflow_strata,
 )
 from .reedy import (
     APath,
@@ -87,11 +83,9 @@ __all__ = [
     "expr_from_json", "expr_to_json", "normal_path_from_json",
     "normal_path_to_json", "np_to_expr", "repar_normal", "validate",
     "EngineError",
-    "FreeGSpace", "TensorElem", "elem_equal", "elem_make", "elem_normalize",
-    "free", "tensor_free",
+    "FreeGSpace", "TensorElem", "elem_make", "elem_normalize", "free",
     "FlowPresentation", "StratumDesc", "chain_complex", "chain_path_space",
-    "counit_check", "flow_of_gflow", "fundamental_category",
-    "globe_roundtrip", "mgflow_strata",
+    "counit_check", "fundamental_category", "globe_roundtrip",
     "APath", "CellPath", "InjPath", "ReedyElem", "ReedyObj",
     "apply_composition", "apply_inclusion", "degree", "make_elem",
     "make_obj", "normalize_elem", "pushout_check", "pushout_complex",

@@ -439,9 +439,6 @@ class Complex:
         else:  # a nested NormalPath, checked by _measure
             segs += expr.segs if law is None else repar_normal(expr, law).segs
 
-    def carrier(self, p: PathExpr) -> tuple[str, ...]:
-        return self.normalize(p).carrier()
-
     # -- pointwise evaluation
 
     def eval_path(self, p, t):

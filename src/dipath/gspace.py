@@ -2,11 +2,10 @@
 
 A ``FreeGSpace`` of length L over labels U stands for the presheaf whose
 value at a length l is the set of pairs (PL map [0,l] -> [0,L], label).
-Tensoring adds lengths and pairs labels.  A ``TensorElem`` is a raw
-representative of a point of an n-fold tensor evaluated at some total
-length; :func:`elem_normalize` pushes the outer reparametrization into the
-factors, yielding the canonical identity-outer form, so equality of points
-in the quotient becomes decidable.
+A ``TensorElem`` is a raw representative of a point of an n-fold tensor
+evaluated at some total length; :func:`elem_normalize` pushes the outer
+reparametrization into the factors, yielding the canonical identity-outer
+form, so equality of points in the quotient becomes decidable.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import BadInputError, DuplicateLabelError, LengthChainMismatchError
-from .rational import as_length, format_fraction, format_ratio, parse_fraction
+from .rational import as_length, format_ratio
 from .reparam import PLHomeo, absorb, add_ratio, pl_from_json
 
 
@@ -26,10 +25,6 @@ class FreeGSpace:
     length: Fraction
     basis: tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {"free": {"len": format_fraction(self.length),
-                         "basis": list(self.basis)}}
-
 
 def free(length, labels: Iterable[str]) -> FreeGSpace:
     ell = as_length(length)
@@ -37,23 +32,6 @@ def free(length, labels: Iterable[str]) -> FreeGSpace:
     if len(set(basis)) != len(basis):
         raise DuplicateLabelError(f"labels not distinct: {basis}")
     return FreeGSpace(ell, basis)
-
-
-def pair_label(a: str, b: str) -> str:
-    return f"({a},{b})"
-
-
-def tensor_free(f1: FreeGSpace, f2: FreeGSpace) -> FreeGSpace:
-    basis = tuple(pair_label(a, b) for a in f1.basis for b in f2.basis)
-    return FreeGSpace(f1.length + f2.length, basis)
-
-
-def free_from_json(data) -> FreeGSpace:
-    try:
-        inner = data["free"]
-        return free(parse_fraction(inner["len"]), inner["basis"])
-    except (KeyError, TypeError) as exc:
-        raise BadInputError(f"malformed free space: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -121,10 +99,6 @@ def elem_normalize(elem: TensorElem) -> TensorElem:
     end = elem.outer.pts[-1][:2]  # the identity's one break past (0, 0)
     return TensorElem(PLHomeo(((0, 1, 0, 1), (*end, *end))), tuple(
         Factor(f.label, twist) for f, twist in zip(elem.factors, twists)))
-
-
-def elem_equal(e1: TensorElem, e2: TensorElem) -> bool:
-    return elem_normalize(e1) == elem_normalize(e2)
 
 
 def elem_from_json(data) -> TensorElem:

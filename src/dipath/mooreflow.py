@@ -1,13 +1,13 @@
-"""Flow presentations extracted from complexes and free-space data.
+"""Flow presentations extracted from complexes.
 
 The functor pair connecting complexes with their combinatorial shadows acts
-here at presentation level: path spaces are described by carrier strata,
-chains of globes contribute a single stratum, a globe of a free space comes
-back unchanged from the geometric round trip, and the fundamental category
-of a loop-free two-dimensional complex is computed as edge words modulo the
-congruence generated by globe boundaries, in one pass over a topological
-order of the states: the classes between two states come from the classes
-one edge shorter, so no hom's words are ever listed.
+here at presentation level: a chain of globes contributes a single stratum,
+a globe of a free space comes back unchanged from the geometric round trip,
+the counit is checked one attachment at a time, and the fundamental
+category of a loop-free two-dimensional complex is computed as edge words
+modulo the congruence generated by globe boundaries, in one pass over a
+topological order of the states: the classes between two states come from
+the classes one edge shorter, so no hom's words are ever listed.
 """
 
 from __future__ import annotations
@@ -15,14 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cellcomplex import Cell, Complex, ComplexDesc, check_bound, validate
+from .cellcomplex import Cell, Complex, ComplexDesc, validate
 from .errors import (
     BadInputError,
     HasLoopsError,
 )
-from .gspace import FreeGSpace, free, pair_label
+from .gspace import FreeGSpace, free
 from .rational import format_fraction
-from .reedy import WitnessPaths, _check_pushout, pushout_complex
+from .reedy import (WitnessPaths, _check_pushout, check_pushout_bound,
+                    pushout_complex)
 
 Word = tuple[str, ...]
 
@@ -65,16 +66,6 @@ def chain_complex(p: int) -> Complex:
     cells = tuple(Cell(f"g{i}", 0, f"a{i-1}", f"a{i}")
                   for i in range(1, p + 1))
     return validate(ComplexDesc(states, cells))
-
-
-def mgflow_strata(cx: Complex, src: str, dst: str,
-                  bound=None) -> list[StratumDesc]:
-    """One stratum per carrier between the two states."""
-    out = []
-    for word in cx.enumerate_carriers(src, dst, bound):
-        dims = tuple(cx.cell(cid).disk_dim for cid in word)
-        out.append(make_stratum(word, dims))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +133,7 @@ def counit_check(cx: Complex, bound: int) -> dict:
     list itself.  A k=0 slot path is checked against both complexes only
     at the first step whose base holds its word, after the step that
     attached its last cell."""
-    check_bound(bound)
+    check_pushout_bound(bound)
     steps, paths = [], WitnessPaths(cx.desc.cells)
     base, carried = Complex(cx.states), ([], [])
     for cell in cx.desc.cells:
@@ -272,27 +263,3 @@ def fundamental_category(cx: Complex) -> FlowPresentation:
                     for i in range(len(left)))
     return FlowPresentation(cx.states, homs, comp)
 
-
-def flow_of_gflow(objects, homs: dict[tuple[str, str], FreeGSpace]
-                  ) -> FlowPresentation:
-    """Collapse free hom data to a flow: classes are basis labels, and the
-    composite of two labels is their pair label when the target hom carries
-    it."""
-    objects = tuple(str(o) for o in objects)
-    classes: dict[tuple[str, str], tuple[Word, ...]] = {}
-    for pair, space in homs.items():
-        classes[pair] = tuple((label,) for label in sorted(space.basis))
-    comp: dict[tuple[str, str, str], tuple[tuple[int, ...], ...]] = {}
-    for (a, b), left in classes.items():
-        for (b2, c), right in classes.items():
-            if b2 != b or (a, c) not in classes:
-                continue
-            index = {w: i for i, w in enumerate(classes[(a, c)])}
-            try:
-                rows = tuple(
-                    tuple(index[(pair_label(u[0], v[0]),)] for v in right)
-                    for u in left)
-            except KeyError:
-                continue
-            comp[(a, b, c)] = rows
-    return FlowPresentation(objects, classes, comp)

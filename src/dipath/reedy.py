@@ -31,6 +31,7 @@ from .cellcomplex import (
     NormalPath,
     Seg,
     Step,
+    check_bound,
     concat,
     disk_side,
     normal_path_from_json,
@@ -404,6 +405,14 @@ def _shapes(base: Complex, cell: Cell, bound: int, paths: WitnessPaths,
         ends = passes(ends)
 
 
+def check_pushout_bound(bound: int) -> None:
+    """Refuse a missing or negative carrier bound: the shapes of a pushout
+    check spend it as a budget, so it is a number even on a loop-free base."""
+    if bound is None:
+        raise BadInputError("a pushout check needs a carrier bound, got None")
+    check_bound(bound)
+
+
 def pushout_check(base: Complex, cell: Cell, bound: int) -> dict:
     """Compare base-side interleavings against pushout carriers: one counit
     step (see :func:`_check_pushout`) that carries every base carrier as a
@@ -414,6 +423,7 @@ def pushout_check(base: Complex, cell: Cell, bound: int) -> dict:
     pushout's carriers directly.  Both are sorted lists of word tuples,
     which JSON prints as arrays.
     """
+    check_pushout_bound(bound)
     pushout = pushout_complex(base, cell)
     table = base.carrier_table(bound)
     fresh = [(w, a, b) for (a, b), words in table.items() for w in words]

@@ -423,9 +423,10 @@ def test_normalize_composes_each_map_once(monkeypatch, depth):
 
 def test_carrier_examples():
     cx = build("square")
-    assert cx.carrier(estep("a")) == ("a",)
-    assert cx.carrier(NormComp(estep("a"), estep("b"))) == ("a", "b")
-    assert cx.carrier(Step("sq", (F(-1),), identity(1))) == ("a", "b")
+    for expr, word in ((estep("a"), ("a",)),
+                       (NormComp(estep("a"), estep("b")), ("a", "b")),
+                       (Step("sq", (F(-1),), identity(1)), ("a", "b"))):
+        assert cx.normalize(expr).carrier() == word
 
 
 def test_is_minimal_examples():
@@ -1026,17 +1027,15 @@ def test_nested_normal_paths_are_checked_against_the_complex():
 
 
 def test_a_top_level_normal_path_is_checked_as_a_nested_one():
-    # normalize and carrier refuse a path through an unknown cell whether
-    # it stands alone or sits in an expression, and return a valid one as
-    # it is
+    # normalize refuses a path through an unknown cell whether it stands
+    # alone or sits in an expression, and returns a valid one as it is
     cx = build("loop_heavy")
     through_zz = NormalPath("0", "1", (Seg("zz", (), identity(1)),))
-    for call in (cx.normalize, cx.carrier):
-        with pytest.raises(UnknownCellError, match="unknown cell zz"):
-            call(through_zz)
+    with pytest.raises(UnknownCellError, match="unknown cell zz"):
+        cx.normalize(through_zz)
     through_e = NormalPath("0", "1", (Seg("e", (), identity(1)),))
     assert cx.normalize(through_e) == through_e
-    assert cx.carrier(through_e) == ("e",)
+    assert cx.normalize(through_e).carrier() == ("e",)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Source checks: soundness guards must survive ``python -O``."""
+"""Source checks: soundness guards survive ``python -O``, the PL kernel and
+path layers stay integer, and the package exports what it imports."""
 
 import ast
 import importlib
@@ -103,3 +104,18 @@ def test_every_traced_name_resolves_in_dipath():
         if owner is None or not callable(vars(owner).get(name)):
             missing.append(f"{module}.{attr}")
     assert not missing, f"traced names missing from dipath: {missing}"
+
+
+def test_all_exports_each_public_import_once():
+    # a deletion must leave neither a dangling export nor an import that
+    # is never exported
+    path = Path(dipath.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = {name for name in imported if not name.startswith("_")}
+    exported = dipath.__all__
+    assert len(exported) == len(set(exported)), "duplicates in __all__"
+    assert set(exported) == public
+    missing = [name for name in exported if not hasattr(dipath, name)]
+    assert not missing, f"__all__ names missing from dipath: {missing}"

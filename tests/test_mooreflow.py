@@ -18,25 +18,22 @@ from dipath.errors import (
     BadDimError,
     BadInputError,
     HasLoopsError,
-    UnboundedEnumerationError,
 )
-from dipath.gspace import free, tensor_free
+from dipath.gspace import free
 from dipath.mooreflow import (
     GeomGlobe,
     GlobeFlow,
     chain_complex,
     chain_path_space,
     counit_check,
-    flow_of_gflow,
     fundamental_category,
     globe_paths,
     globe_roundtrip,
     make_stratum,
-    mgflow_strata,
     realize_globe_flow,
 )
 from dipath.reedy import pushout_check
-from fixture_lib import CORPUS, build, chain_desc, edge, estep, globe
+from fixture_lib import CORPUS, build, edge, estep, globe
 from helpers import rand_loopfree_complex
 
 
@@ -174,23 +171,6 @@ def test_make_stratum_validates_arity():
         make_stratum(("a", "b"), (0,))
 
 
-def test_mgflow_strata_counts():
-    assert len(mgflow_strata(build("segment"), "0", "1")) == 1
-    square = mgflow_strata(build("square"), "bot", "top")
-    assert len(square) == 3
-    assert [s.carrier for s in square] == [("a", "b"), ("c", "d"), ("sq",)]
-    assert [s.factor_dims for s in square] == [(0, 0), (0, 0), (1,)]
-    chain = mgflow_strata(validate(chain_desc(4)), "s0", "s4")
-    assert len(chain) == 1 and chain[0].reparam_arity == 4
-
-
-def test_mgflow_strata_needs_bound_on_loops():
-    with pytest.raises(UnboundedEnumerationError):
-        mgflow_strata(build("loop"), "0", "1")
-    strata = mgflow_strata(build("loop"), "0", "1", 2)
-    assert [s.carrier for s in strata] == [("e",), ("l", "e")]
-
-
 # ---------------------------------------------------------------------------
 # globe round trip
 
@@ -238,6 +218,19 @@ def test_counit_check_refuses_a_negative_bound_with_or_without_cells():
     with pytest.raises(BadInputError,
                        match=r"^carrier bound must be >= 0, got -1$"):
         build("square").carrier_table(-1)
+
+
+def test_pushout_checks_refuse_a_missing_bound():
+    # both checks spend the bound as a budget, so None is refused before
+    # any cell is admitted: on a complex with no cells, on a loop-free one
+    # and on a base with loops alike
+    refused = r"^a pushout check needs a carrier bound, got None$"
+    for cx in (Complex(("a", "b")), chain_complex(2), build("loop_heavy")):
+        with pytest.raises(BadInputError, match=refused):
+            counit_check(cx, None)
+    for base in (Complex(("0", "1")), build("loop")):
+        with pytest.raises(BadInputError, match=refused):
+            pushout_check(base, edge("f", "0", "1"), None)
 
 
 def test_counit_check_with_loop():
@@ -745,36 +738,6 @@ def test_fundamental_category_rejects_higher_cells():
         cx.desc = ComplexDesc(desc.states, desc.cells + (higher,))
     assert cx.desc == desc
     assert fundamental_category(cx).hom("0", "1") == (("e",),)
-
-
-# ---------------------------------------------------------------------------
-# flows from free hom data
-
-
-def test_flow_of_gflow_single_hom():
-    fp = flow_of_gflow(["0", "1"], {("0", "1"): free(1, ["a"])})
-    assert fp.hom("0", "1") == (("a",),)
-
-
-def test_flow_of_gflow_composite_counting():
-    h1 = free(1, ["a", "b"])
-    h2 = free(1, ["x", "y", "z"])
-    h13 = tensor_free(h1, h2)
-    fp = flow_of_gflow(
-        ["0", "1", "2"],
-        {("0", "1"): h1, ("1", "2"): h2, ("0", "2"): h13})
-    assert len(fp.hom("0", "2")) == 6
-    table = fp.comp[("0", "1", "2")]
-    assert len(table) == 2 and len(table[0]) == 3
-    # each composite hits a distinct pair label
-    flat = [k for row in table for k in row]
-    assert sorted(flat) == list(range(6))
-
-
-def test_flow_of_gflow_globe_classes_count_labels():
-    labels = ["u", "v", "w"]
-    fp = flow_of_gflow(["0", "1"], {("0", "1"): free(1, labels)})
-    assert len(fp.hom("0", "1")) == len(labels)
 
 
 def test_flow_presentation_json():

@@ -38,7 +38,7 @@ from .errors import (
     UnknownStateError,
 )
 from .rational import (format_fraction, format_point, format_ratio,
-                       parse_fraction)
+                       json_int, json_list, json_str, parse_fraction)
 from .reparam import (PLHomeo, _blocks, absorb, add_ratio, compose, inverse,
                       mu, pl_eval, pl_from_json)
 
@@ -199,8 +199,9 @@ class ComplexDesc:
 
 
 def check_bound(bound: Optional[int]) -> None:
-    """Refuse a negative carrier bound (None: no bound)."""
-    if bound is not None and bound < 0:
+    """Refuse a carrier bound that is not an int, is a bool or is negative
+    (None: no bound)."""
+    if bound is not None and json_int(bound, "carrier bound") < 0:
         raise BadInputError(f"carrier bound must be >= 0, got {bound}")
 
 
@@ -494,11 +495,11 @@ class Complex:
         pair; pairs without carriers are absent.  One walk per source state,
         computed once per bound: the complex is immutable, so the table is
         cached and shared, read-only, by every caller."""
+        check_bound(bound)  # first: True would hit the table of bound 1
         try:
             return self._carrier_tables[bound]
         except KeyError:
             pass
-        check_bound(bound)
         if bound is None and not self.loop_free:
             raise UnboundedEnumerationError(
                 "complex has loops: pass an explicit carrier bound")
@@ -583,7 +584,8 @@ def expr_from_json(data) -> PathExpr:
     try:
         if kind == "step":
             return Step(json_str(body["cell"], "step cell"),
-                        tuple(parse_fraction(v) for v in body["z"]),
+                        tuple(map(parse_fraction,
+                                  json_list(body["z"], "step point"))),
                         pl_from_json(body["chi"]))
         if kind == "moore":
             return Moore(expr_from_json(body[0]), expr_from_json(body[1]))
@@ -610,12 +612,13 @@ def normal_path_to_json(np: NormalPath) -> dict:
 def normal_path_from_json(data, cx: Complex) -> NormalPath:
     try:
         segs = []
-        for raw in data["segs"]:
+        for raw in json_list(data["segs"], "path segments"):
             chi = pl_from_json(raw["chi"])
             if "len" in raw and parse_fraction(raw["len"]) != chi.src_len:
                 raise BadInputError("segment length disagrees with time law")
             segs.append(Seg(json_str(raw["cell"], "segment cell"),
-                            tuple(parse_fraction(v) for v in raw["z"]),
+                            tuple(map(parse_fraction, json_list(
+                                raw["z"], "segment point"))),
                             chi))
         np = NormalPath(json_str(data["from"], "path start"),
                         json_str(data["to"], "path end"), tuple(segs))
@@ -632,21 +635,6 @@ def cell_to_json(cell: Cell) -> dict:
     if cell.boundary_plus is not None:
         out["boundary_plus"] = expr_to_json(cell.boundary_plus)
     return out
-
-
-def json_int(value, what: str) -> int:
-    """A JSON integer field; floats, booleans and strings are refused."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise BadInputError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def json_str(value, what: str) -> str:
-    """A JSON string field naming a state or a cell; numbers, booleans,
-    lists, objects and null are refused."""
-    if not isinstance(value, str):
-        raise BadInputError(f"{what} must be a string, got {value!r}")
-    return value
 
 
 def cell_from_json(data) -> Cell:

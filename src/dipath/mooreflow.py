@@ -22,8 +22,7 @@ from .errors import (
 )
 from .gspace import FreeGSpace, free
 from .rational import format_fraction
-from .reedy import (WitnessPaths, _check_pushout, check_pushout_bound,
-                    pushout_complex)
+from .reedy import pushout_steps
 
 Word = tuple[str, ...]
 
@@ -113,35 +112,12 @@ def globe_roundtrip(length, labels) -> dict:
 
 
 def counit_check(cx: Complex, bound: int) -> dict:
-    """Run the pushout carrier check at every attachment step.
-
-    The steps replay the chain that builds ``cx`` one cell at a time: the
-    pushout of step i is ``base.extend(cell)`` and the base of step i+1, so
-    each cell is admitted and each carrier table built once.  One
-    ``WitnessPaths`` serves every step.
-
-    A step witnesses only the shapes it adds, those with k >= 1 passes
-    through its cell: each is built, tested for being simplified, realized
-    (each slot checked against both complexes of the step) and compared by
-    carrier.  A k=0 shape is a single base run, which no rewrite rule
-    touches and which realizes to itself; its word is a carrier of the
-    base, witnessed as a k >= 1 shape at the step that attached its last
-    cell, so every word of ``cx`` is witnessed exactly once.  A step hands
-    its right list, its pushout's own carrier table, to the next step, whose
-    left list merges it with the new words, so the word tuples of the
-    report are shared between steps, and an equal right list is the left
-    list itself.  A k=0 slot path is checked against both complexes only
-    at the first step whose base holds its word, after the step that
+    """The pushout carrier check at every attachment step: the steps of
+    :func:`~dipath.reedy.pushout_steps` that build ``cx`` from its states,
+    one cell at a time.  The complex with no cells has no carriers, so
+    every word of ``cx`` is witnessed exactly once, at the step that
     attached its last cell."""
-    check_pushout_bound(bound)
-    steps, paths = [], WitnessPaths(cx.desc.cells)
-    base, carried = Complex(cx.states), ([], [])
-    for cell in cx.desc.cells:
-        pushout = pushout_complex(base, cell)
-        step, carried = _check_pushout(base, pushout, cell, bound, paths,
-                                       carried)
-        steps.append(step)
-        base = pushout
+    steps = list(pushout_steps(Complex(cx.states), cx.desc.cells, bound))
     return {"bound": bound, "steps": steps,
             "ok": all(step["bijection"] for step in steps)}
 

@@ -1,4 +1,5 @@
-"""Exact rational parsing, formatting and length validation.
+"""Exact rational parsing, formatting and length validation, and the
+readers of the other JSON fields.
 
 Rationals cross the JSON boundary as strings in lowest terms: "3/4", "-1/2",
 or "2" for integers.  ``fractions.Fraction`` keeps everything exact.
@@ -49,3 +50,25 @@ def format_ratio(num: int, den: int) -> str:
 def format_point(values) -> str:
     """Rationals for a message as "(0, 1/2)": strings, never reprs."""
     return f"({', '.join(map(str, values))})"
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer field; floats, booleans and strings are refused."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise BadInputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_str(value, what: str) -> str:
+    """A JSON string field naming a state or a cell; numbers, booleans,
+    lists, objects and null are refused."""
+    if not isinstance(value, str):
+        raise BadInputError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def json_list(value, what: str) -> list:
+    """A JSON array field; a string or an object is refused, not iterated."""
+    if not isinstance(value, list):
+        raise BadInputError(f"{what} must be an array, got {value!r:.40}")
+    return value

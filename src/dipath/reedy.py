@@ -13,7 +13,9 @@ genuine cell path).  Two rewrite rules simplify an element:
 
 Each rule strictly decreases the degree (tuple length plus flag sum), so
 rewriting terminates; the normal forms match the path normal forms of X,
-which is what :func:`pushout_check` verifies carrier by carrier.
+which :func:`pushout_steps` verifies carrier by carrier, one attached cell
+at a time: the counit check runs its steps from the complex with no cells,
+and :func:`pushout_check` is its single step from an arbitrary base.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from .cellcomplex import (
     disk_side,
     normal_path_from_json,
     normal_path_to_json,
-    json_int,
-    json_str,
     repar_normal,
 )
 from .errors import (
@@ -51,7 +51,8 @@ from .errors import (
     OutOfDomainError,
     WrongEndpointsError,
 )
-from .rational import format_fraction, format_point, parse_fraction
+from .rational import (format_fraction, format_point, json_int, json_list,
+                       json_str, parse_fraction)
 from .reparam import PLHomeo, mu, pl_from_json
 
 # the time law and disk coordinate of every witness slot; both are
@@ -338,10 +339,10 @@ def realize(elem: ReedyElem, pushout: Complex, cell_id: str) -> NormalPath:
 class WitnessPaths:
     """The parts that fill witness slots, built on first use and then
     shared: one unit-speed ``Seg`` through the centre of each cell, and per
-    run word its flag-0 slot, the pair ``((a, 0, b), APath(path))``.  A
-    counit check passes one instance to every step, so a run's slot is the
-    same objects in every shape and step that use it; each witness holding
-    it still checks it."""
+    run word its flag-0 slot, the pair ``((a, 0, b), APath(path))``.  One
+    instance serves every step of :func:`pushout_steps`, so a run's slot is
+    the same objects in every shape and step that use it; each witness
+    holding it still checks it."""
 
     def __init__(self, cells):
         self._units = {c.id: Seg(c.id, (_ZERO,) * c.disk_dim, _UNIT)
@@ -369,7 +370,7 @@ def _shapes(base: Complex, cell: Cell, bound: int, paths: WitnessPaths,
     for its word, an empty run holds no slot, and a pass holds ``through``.
     A last run ends at its start or at a state in its row of the table.  The
     k=0 shapes, single runs of the base, are not yielded: their words are
-    the base's carriers, which the caller carries over.
+    the base's carriers, which :func:`pushout_steps` takes as they are.
     """
     table = base.carrier_table(bound)
     rows = {a: {a: None} for a in base.states}
@@ -405,90 +406,67 @@ def _shapes(base: Complex, cell: Cell, bound: int, paths: WitnessPaths,
         ends = passes(ends)
 
 
-def check_pushout_bound(bound: int) -> None:
-    """Refuse a missing or negative carrier bound: the shapes of a pushout
-    check spend it as a budget, so it is a number even on a loop-free base."""
+def pushout_check(base: Complex, cell: Cell, bound: int) -> dict:
+    """The single step of :func:`pushout_steps` from an arbitrary base."""
+    return next(pushout_steps(base, (cell,), bound))
+
+
+def pushout_steps(base: Complex, cells, bound: int):
+    """Attach ``cells`` to ``base`` one at a time, yielding per step the
+    sorted word lists of base-side interleavings (left) and of the
+    pushout's own carriers (right), and whether they are equal.
+
+    The bound is refused once: the shapes spend it as a budget, so it is
+    needed even on a loop-free base.  One ``WitnessPaths`` serves every
+    step.  Each shape with k >= 1 passes through the cell is witnessed: its
+    element is built (each base slot checked against the base), tested
+    with ``is_simplified``, realized (each base slot checked against the
+    pushout) and compared by carrier.  A k=0 shape is one flag-0 slot along
+    a base carrier, which no rule touches, so it realizes to its slot path:
+    its word comes from the base's carriers, and its slot path is checked
+    against both complexes only while it is a fresh run.  ``base``'s own
+    carriers start fresh; later, the words of the step before's shapes are.
+    A step's right list is the next step's base carriers, shared; an equal
+    right list is the left list itself."""
     if bound is None:
         raise BadInputError("a pushout check needs a carrier bound, got None")
     check_bound(bound)
-
-
-def pushout_check(base: Complex, cell: Cell, bound: int) -> dict:
-    """Compare base-side interleavings against pushout carriers: one counit
-    step (see :func:`_check_pushout`) that carries every base carrier as a
-    fresh run, whose slot path is checked against both complexes.
-
-    The left list holds those words and the word of every witnessed shape
-    with k >= 1 passes through the cell; the right list enumerates the
-    pushout's carriers directly.  Both are sorted lists of word tuples,
-    which JSON prints as arrays.
-    """
-    check_pushout_bound(bound)
-    pushout = pushout_complex(base, cell)
+    cells = tuple(cells)
+    paths = WitnessPaths(base.desc.cells + cells)
     table = base.carrier_table(bound)
-    fresh = [(w, a, b) for (a, b), words in table.items() for w in words]
-    carried = sorted(w for w, _, _ in fresh), fresh
-    return _check_pushout(base, pushout, cell, bound,
-                          WitnessPaths(base.desc.cells), carried)[0]
-
-
-def _check_pushout(base: Complex, pushout: Complex, cell: Cell,
-                   bound: int, paths: WitnessPaths,
-                   carried: tuple[list, list]
-                   ) -> tuple[dict, tuple[list, list]]:
-    """:func:`pushout_check` against an already built pushout, with witness
-    slots taken from ``paths``, which must know every base cell; the report
-    comes with the pair ``(words, fresh)`` the next counit step carries: the
-    step's right list and its fresh runs, ``(word, start, end)`` for each
-    word through its cell.
-
-    The shapes share their slot triples, entries and paths (one per run
-    word, from ``paths``) and one pass through the cell.  A witness element
-    is built by ``make_obj`` and ``make_elem`` (which checks each base slot
-    against ``base``), tested with ``is_simplified`` and realized in
-    ``pushout`` (which checks each base slot again, against ``pushout``),
-    and its carrier compared with the shape's word.
-
-    That runs only for the shapes with k >= 1 passes (see
-    :func:`counit_check`).  ``carried`` holds the base's carriers, sorted,
-    and the fresh runs among them: a k=0 shape is one flag-0 slot along a
-    base carrier, which no rule touches (merging needs two adjacent flag-0
-    slots, lowering acts on flag-1 slots), so it realizes to its slot path.
-    Its word comes from the carried words, merged into the left list as the
-    same tuple, and its slot path is checked against ``base`` and then
-    ``pushout`` only while it is a fresh run."""
-    words, fresh = carried
-    for word, a, b in fresh:
-        path = paths.slot(word, a, b)[1].path
-        pushout.check_normal_path(base.check_normal_path(path))
-    through = CellPath((_ZERO,) * cell.disk_dim, _UNIT)
-    u, v = cell.src, cell.dst
-    new, fresh = [], []
-    for word, triples, entries in _shapes(base, cell, bound, paths, through):
-        new.append(word)
-        fresh.append((word, triples[0][0], triples[-1][2]))
-        elem = make_elem(make_obj(u, v, triples), entries, base)
-        if not is_simplified(elem, base, cell):
-            raise EngineError(f"witness for {word} is not simplified")
-        realized = realize(elem, pushout, cell.id)
-        if realized.carrier() != word:
-            raise EngineError(
-                f"witness realization carrier {realized.carrier()} != {word}")
-    lhs = sorted(words + new)
-    if any(map(eq, lhs, islice(lhs, 1, None))):
-        raise EngineError("shape enumeration produced duplicate carriers")
-    rhs = sorted(chain.from_iterable(pushout.carrier_table(bound).values()))
-    # equal sides share one list: printed the same, in half the memory
-    bijection = lhs == rhs
-    if bijection:
-        rhs = lhs
-    return {
-        "cell": cell.id,
-        "bound": bound,
-        "lhs_carriers": lhs,
-        "rhs_carriers": rhs,
-        "bijection": bijection,
-    }, (rhs, fresh)
+    words = sorted(chain.from_iterable(table.values()))
+    fresh = [(w, a, b) for (a, b), ws in table.items() for w in ws]
+    for cell in cells:
+        pushout = pushout_complex(base, cell)
+        for word, a, b in fresh:
+            path = paths.slot(word, a, b)[1].path
+            pushout.check_normal_path(base.check_normal_path(path))
+        through = CellPath((_ZERO,) * cell.disk_dim, _UNIT)
+        new, fresh = [], []
+        for word, triples, entries in _shapes(base, cell, bound, paths,
+                                              through):
+            new.append(word)
+            fresh.append((word, triples[0][0], triples[-1][2]))
+            elem = make_elem(make_obj(cell.src, cell.dst, triples), entries,
+                             base)
+            if not is_simplified(elem, base, cell):
+                raise EngineError(f"witness for {word} is not simplified")
+            realized = realize(elem, pushout, cell.id)
+            if realized.carrier() != word:
+                raise EngineError(f"witness realization carrier "
+                                  f"{realized.carrier()} != {word}")
+        lhs = sorted(words + new)
+        if any(map(eq, lhs, islice(lhs, 1, None))):
+            raise EngineError("shape enumeration produced duplicate carriers")
+        words = sorted(chain.from_iterable(
+            pushout.carrier_table(bound).values()))
+        # equal sides share one list: printed the same, in half the memory
+        bijection = lhs == words
+        if bijection:
+            words = lhs
+        yield {"cell": cell.id, "bound": bound, "lhs_carriers": lhs,
+               "rhs_carriers": words, "bijection": bijection}
+        base = pushout
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +526,8 @@ def elem_from_json(data, base: Complex) -> ReedyElem:
         elif kind == "cellpath":
             try:
                 entries.append(CellPath(
-                    tuple(parse_fraction(x) for x in body["z"]),
+                    tuple(map(parse_fraction,
+                              json_list(body["z"], "cell path point"))),
                     pl_from_json(body["chi"])))
             except (KeyError, TypeError) as exc:
                 raise BadInputError(f"malformed cell path: {exc}") from exc

@@ -34,7 +34,8 @@ from .errors import (
     NonMonotonicError,
     OutOfDomainError,
 )
-from .rational import as_length, format_point, format_ratio, parse_fraction
+from .rational import (as_length, format_point, format_ratio, json_list,
+                       parse_fraction)
 
 # (xn, xd, yn, yd): reduced when stored, possibly not inside a sweep
 Pt = tuple[int, int, int, int]
@@ -304,8 +305,10 @@ def pl_from_json(data) -> PLHomeo:
     try:
         src = parse_fraction(data["src"])
         dst = parse_fraction(data["dst"])
-        breaks = [(parse_fraction(x), parse_fraction(y))
-                  for x, y in data["breaks"]]
+        breaks = []
+        for pair in json_list(data["breaks"], "breaks"):
+            x, y = json_list(pair, "break")
+            breaks.append((parse_fraction(x), parse_fraction(y)))
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInputError(f"malformed PL map: {exc}") from exc
     return make_pl(src, dst, breaks)

@@ -508,6 +508,16 @@ def test_enumerate_requires_bound_on_loops():
     assert cx.enumerate_carriers("0", "0", 2) == [("l",), ("l", "l")]
 
 
+def test_enumerate_refuses_a_bound_that_is_not_an_int():
+    # True equals 1, so it is refused before the table of bound 1 is read
+    cx = chain_complex(2)
+    assert cx.enumerate_carriers("a0", "a2", 1) == []
+    for bound in (2.5, True, "3"):
+        with pytest.raises(BadInputError, match=(
+                rf"^carrier bound must be an integer, got {bound!r}$")):
+            cx.enumerate_carriers("a0", "a2", bound)
+
+
 def test_enumerate_empty_when_unreachable():
     cx = build("chain3")
     assert cx.enumerate_carriers("s2", "s0") == []

@@ -114,6 +114,37 @@ def test_non_string_step_cell_is_rejected(corpus_dir, tmp_path, capsys):
     assert json.loads(out)["error"] == "bad_input"
 
 
+UNIT_LAW = {"src": "1", "dst": "1", "breaks": [["0", "0"], ["1", "1"]]}
+
+
+@pytest.mark.parametrize("command, data", [
+    ("normalize", {"step": {"cell": "sq", "z": "0", "chi": UNIT_LAW}}),
+    ("normalize", {"step": {"cell": "sq", "z": {"0": 1}, "chi": UNIT_LAW}}),
+    ("normalize", {"step": {"cell": "a", "z": [], "chi": dict(
+        UNIT_LAW, breaks=["00", "11"])}}),
+    ("reedy-normalize", {"u": "al", "v": "ga", "triples": [["al", 1, "ga"]],
+                         "entries": [{"cellpath": {"z": "0",
+                                                   "chi": UNIT_LAW}}]}),
+    ("reedy-normalize", {"u": "al", "v": "be", "triples": [["al", 0, "be"]],
+                         "entries": [{"path": {"from": "al", "to": "be",
+                                               "segs": [{"cell": "a", "z": "",
+                                                         "chi": UNIT_LAW}]}}]}),
+], ids=["string_z", "object_z", "string_break_pairs", "string_cellpath_z",
+        "string_seg_z"])
+def test_strings_and_objects_are_refused_where_arrays_belong(
+        corpus_dir, tmp_path, capsys, command, data):
+    # each character of a string or key of an object would otherwise be
+    # read as one item, and the input accepted
+    bad = tmp_path / "input.json"
+    bad.write_text(json.dumps(data))
+    complex_, *cell = (("square",) if command == "normalize"
+                       else ("triangle", "--cell", "t"))
+    status, out = invoke(capsys, command, str(corpus_dir / f"{complex_}.json"),
+                         str(bad), *cell)
+    assert status == 2
+    assert json.loads(out)["error"] == "bad_input"
+
+
 @pytest.mark.parametrize("where", ["u", "triple", "path_from", "seg_cell"])
 def test_non_string_element_names_are_rejected(corpus_dir, tmp_path, capsys,
                                                where):

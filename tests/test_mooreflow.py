@@ -231,6 +231,14 @@ def test_pushout_checks_refuse_a_missing_bound():
     for base in (Complex(("0", "1")), build("loop")):
         with pytest.raises(BadInputError, match=refused):
             pushout_check(base, edge("f", "0", "1"), None)
+    # a bound that is not an int, or is a bool, is refused the same way
+    for bound in (2.5, True, "3"):
+        not_int = rf"^carrier bound must be an integer, got {bound!r}$"
+        for cx in (Complex(("a", "b")), chain_complex(2)):
+            with pytest.raises(BadInputError, match=not_int):
+                counit_check(cx, bound)
+        with pytest.raises(BadInputError, match=not_int):
+            pushout_check(Complex(("0", "1")), edge("f", "0", "1"), bound)
 
 
 def test_counit_check_with_loop():
@@ -290,19 +298,19 @@ def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
     # slot is checked against both complexes of its step
     from random import Random
 
-    import dipath.mooreflow as mf
     import dipath.reedy as reedy
     from dipath.cellcomplex import Complex
     from helpers import rand_loopfree_complex
 
     log = []
-    check_pushout, realize = reedy._check_pushout, reedy.realize
+    pushout_complex, realize = reedy.pushout_complex, reedy.realize
     is_simplified, check = reedy.is_simplified, Complex.check_normal_path
 
-    def step_spy(base, pushout, cell, bound, paths, carried):
+    def step_spy(base, cell):
+        pushout = pushout_complex(base, cell)
         log.append({"base": base, "pushout": pushout, "simplified": 0,
                     "realized": 0, "slots": 0, "on_base": 0, "on_pushout": 0})
-        return check_pushout(base, pushout, cell, bound, paths, carried)
+        return pushout
 
     def simplified_spy(elem, base, cell):
         log[-1]["simplified"] += 1
@@ -321,7 +329,7 @@ def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
             log[-1]["on_pushout"] += 1
         return check(self, np)
 
-    monkeypatch.setattr(mf, "_check_pushout", step_spy)
+    monkeypatch.setattr(reedy, "pushout_complex", step_spy)
     monkeypatch.setattr(reedy, "is_simplified", simplified_spy)
     monkeypatch.setattr(reedy, "realize", realize_spy)
     monkeypatch.setattr(Complex, "check_normal_path", check_spy)
@@ -490,16 +498,16 @@ def _poison_slot(monkeypatch, word, bad_seg):
 
 def _steps_until_raise(monkeypatch, cx, bound, error):
     """The cells of the steps counit_check began before it raised."""
-    import dipath.mooreflow as mf
+    import dipath.reedy as reedy
 
     began = []
-    check_pushout = mf._check_pushout
+    pushout_complex = reedy.pushout_complex
 
-    def step_spy(base, pushout, cell, bound, paths, carried):
+    def step_spy(base, cell):
         began.append(cell.id)
-        return check_pushout(base, pushout, cell, bound, paths, carried)
+        return pushout_complex(base, cell)
 
-    monkeypatch.setattr(mf, "_check_pushout", step_spy)
+    monkeypatch.setattr(reedy, "pushout_complex", step_spy)
     with pytest.raises(error):
         counit_check(cx, bound)
     return began

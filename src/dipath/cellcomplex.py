@@ -587,13 +587,16 @@ def expr_from_json(data) -> PathExpr:
                         tuple(map(parse_fraction,
                                   json_list(body["z"], "step point"))),
                         pl_from_json(body["chi"]))
-        if kind == "moore":
-            return Moore(expr_from_json(body[0]), expr_from_json(body[1]))
-        if kind == "normcomp":
-            return NormComp(expr_from_json(body[0]), expr_from_json(body[1]))
+        if kind in ("moore", "normcomp"):
+            body = json_list(body, f"{kind} operands")
+            if len(body) != 2:
+                raise BadInputError(
+                    f"{kind} takes two operands, got {len(body)}")
+            glue = Moore if kind == "moore" else NormComp
+            return glue(expr_from_json(body[0]), expr_from_json(body[1]))
         if kind == "repar":
             return Repar(expr_from_json(body["path"]), pl_from_json(body["phi"]))
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise BadInputError(f"malformed path expression: {exc}") from exc
     raise BadInputError(f"unknown path expression kind {kind!r}")
 
@@ -663,12 +666,10 @@ def complex_to_json(desc: ComplexDesc) -> dict:
 
 def complex_from_json(data) -> ComplexDesc:
     try:
-        for field in ("states", "cells"):
-            if not isinstance(data[field], list):
-                raise BadInputError(
-                    f"complex {field} must be a list, got {data[field]!r}")
-        states = tuple(json_str(s, "state name") for s in data["states"])
-        cells = tuple(cell_from_json(c) for c in data["cells"])
+        states = tuple(json_str(s, "state name")
+                       for s in json_list(data["states"], "complex states"))
+        cells = tuple(map(cell_from_json,
+                          json_list(data["cells"], "complex cells")))
     except (KeyError, TypeError) as exc:
         raise BadInputError(f"malformed complex: {exc}") from exc
     return ComplexDesc(states, cells)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from itertools import accumulate
 
 from .cellcomplex import (
     Moore,
@@ -27,16 +29,28 @@ from .mooreflow import counit_check, fundamental_category
 from .reedy import elem_from_json, elem_to_json, normalize_elem, pushout_check
 
 
+MAX_DEPTH = 850  # JSON levels of arrays and objects, counted before decoding
+# all but the brackets outside strings: whole strings, other runs, a stray "
+_NOT_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[^][{}"]+|"',
+                          re.DOTALL)
+
+
 def _load_json(path: str):
+    """Decode one input file.  Its nesting is measured on the text, strings
+    skipped, so the limit is dipath's on every interpreter: neither the
+    decoder nor the recursive readers and normalizers see deeper input."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()
+        brackets = _NOT_BRACKET.sub("", text)
+        if max(accumulate(1 if b in "[{" else -1 for b in brackets),
+               default=0) > MAX_DEPTH:
+            raise BadInputError(f"{path} nests deeper than {MAX_DEPTH} levels")
+        return json.loads(text)
     except OSError as exc:
         raise BadInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or past the digit limit
         raise BadInputError(f"{path} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise BadInputError(f"{path} nests too deeply to decode") from exc
 
 
 def _load_complex(path: str):
@@ -214,17 +228,6 @@ def run(argv=None) -> int:
         report, status = args.func(args)
     except EngineError as exc:
         _emit({"error": exc.code, "detail": exc.detail}, args.format)
-        return 2
-    except RecursionError:
-        # an input nested deeper than the recursive readers and normalizers
-        # can follow under the interpreter's recursion limit
-        _emit({"error": BadInputError.code,
-               "detail": "input nests too deeply to process"}, args.format)
-        return 2
-    except ValueError as exc:  # a number past the interpreter's digit limit
-        if "integer string conversion" not in str(exc):
-            raise
-        _emit({"error": BadInputError.code, "detail": str(exc)}, args.format)
         return 2
     _emit(report, args.format)
     return status

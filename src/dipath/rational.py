@@ -30,7 +30,8 @@ def parse_fraction(value) -> Fraction:
 
 
 def format_fraction(value: Fraction) -> str:
-    return str(Fraction(value))
+    value = Fraction(value)
+    return format_ratio(value.numerator, value.denominator)
 
 
 def as_length(value) -> Fraction:
@@ -42,14 +43,18 @@ def as_length(value) -> Fraction:
 
 
 def format_ratio(num: int, den: int) -> str:
-    """The string of num/den given in lowest terms with den > 0: the same
-    string as ``format_fraction(Fraction(num, den))``, with no Fraction."""
-    return str(num) if den == 1 else f"{num}/{den}"
+    """The string of num/den given in lowest terms with den > 0, with no
+    Fraction.  Rationals become text here, so a term past the interpreter's
+    digit limit is refused as bad input, whatever computed it."""
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError as exc:
+        raise BadInputError(f"a rational has too many digits: {exc}") from exc
 
 
 def format_point(values) -> str:
     """Rationals for a message as "(0, 1/2)": strings, never reprs."""
-    return f"({', '.join(map(str, values))})"
+    return f"({', '.join(map(format_fraction, values))})"
 
 
 def json_int(value, what: str) -> int:

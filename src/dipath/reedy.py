@@ -484,7 +484,7 @@ def obj_from_json(data) -> ReedyObj:
             json_str(data["u"], "index object u"),
             json_str(data["v"], "index object v"),
             [(json_str(a, "triple state"), e, json_str(b, "triple state"))
-             for a, e, b in data["triples"]])
+             for a, e, b in json_list(data["triples"], "index triples")])
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInputError(f"malformed index object: {exc}") from exc
 
@@ -509,12 +509,9 @@ def elem_from_json(data, base: Complex) -> ReedyElem:
     obj = obj_from_json(data)
     entries = []
     try:
-        raw_entries = data["entries"]
+        raw_entries = json_list(data["entries"], "element entries")
     except (KeyError, TypeError) as exc:
         raise BadInputError(f"malformed element: {exc}") from exc
-    if not isinstance(raw_entries, list):
-        raise BadInputError(
-            f"element entries must be a list, got {raw_entries!r}")
     for raw in raw_entries:
         if not isinstance(raw, dict) or len(raw) != 1:
             raise BadInputError(f"malformed entry: {raw!r}")

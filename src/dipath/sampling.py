@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
+from .cellcomplex import NormalPath, Seg, np_to_expr
 from .errors import EngineError
 from .rational import as_length
 from .reparam import PLHomeo, _canonical, identity
@@ -79,8 +80,6 @@ def rand_nonidentity_pl(rng: Random, length=1, max_segments: int = 8) -> PLHomeo
 
 
 def rand_seg(rng: Random, cx, cell_id, length):
-    from .cellcomplex import Seg
-
     cell = cx.cell(cell_id)
     z = () if cell.disk_dim == 0 else (rand_fraction(rng, -1, 1),)
     return Seg(cell_id, z, rand_pl(rng, length, 1, max_segments=3))
@@ -88,8 +87,6 @@ def rand_seg(rng: Random, cx, cell_id, length):
 
 def rand_normal_path(rng: Random, cx, carrier, total=1):
     """A random normal-form path over the given carrier word."""
-    from .cellcomplex import NormalPath
-
     lens = rand_partition(rng, total, len(carrier))
     segs = tuple(rand_seg(rng, cx, cid, ell)
                  for cid, ell in zip(carrier, lens))
@@ -100,8 +97,6 @@ def rand_normal_path(rng: Random, cx, carrier, total=1):
 
 def rand_unit_path_expr(rng: Random, cx, carrier):
     """A random length-1 path expression realizing the given carrier."""
-    from .cellcomplex import np_to_expr
-
     return np_to_expr(rand_normal_path(rng, cx, carrier, total=1))
 
 

@@ -13,25 +13,16 @@ from fractions import Fraction
 from functools import reduce
 from random import Random
 
-from .cellcomplex import Moore, NormComp, Repar, np_to_expr
+from .cellcomplex import (Cell, ComplexDesc, Moore, NormComp, Repar, Step,
+                          np_to_expr, validate)
 from .errors import BadInputError
 from .mooreflow import chain_complex
-from .reparam import (
-    compose,
-    decompose,
-    identity,
-    inverse,
-    mu,
-    split,
-    tensor,
-)
-from .sampling import (
-    rand_composable_unit_paths,
-    rand_nonidentity_pl,
-    rand_normal_path,
-    rand_partition,
-    rand_pl,
-)
+from .reedy import (APath, CellPath, is_simplified, make_elem, make_obj,
+                    normalize_elem)
+from .reparam import compose, decompose, identity, inverse, mu, split, tensor
+from .sampling import (rand_composable_unit_paths, rand_fraction,
+                       rand_nonidentity_pl, rand_normal_path, rand_partition,
+                       rand_pl)
 
 IDENTITY_KINDS = (
     "block_absorb",
@@ -160,17 +151,6 @@ def check_rigidity(rng: Random, cases: int):
 
 
 def check_elem_normalization(rng: Random, cases: int):
-    from .cellcomplex import Cell, ComplexDesc, Step, validate
-    from .reedy import (
-        APath,
-        CellPath,
-        is_simplified,
-        make_elem,
-        make_obj,
-        normalize_elem,
-    )
-    from .sampling import rand_fraction
-
     base = validate(ComplexDesc(("0", "1"), (
         Cell("e", 0, "0", "1"),
         Cell("l", 0, "1", "1"),

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -220,6 +221,32 @@ def test_parse_fraction_reads_only_the_documented_form():
             parse_fraction(bad)
 
 
+def test_rationals_past_the_digit_limit_become_bad_input():
+    from fractions import Fraction
+
+    from dipath.errors import BadInputError
+    from dipath.rational import format_fraction, format_point, format_ratio
+
+    huge = 10 ** sys.get_int_max_str_digits()
+    assert format_ratio(-3, 4) == format_fraction(Fraction(-3, 4)) == "-3/4"
+    for num, den in ((huge, 1), (1, huge)):
+        with pytest.raises(BadInputError):
+            format_ratio(num, den)
+        with pytest.raises(BadInputError):
+            format_fraction(Fraction(num, den))
+        with pytest.raises(BadInputError):
+            format_point((0, Fraction(num, den)))
+
+
+def test_input_that_is_not_utf8_exits_two(tmp_path, capsys):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"states": ["\u00e9"], "cells": []}'.encode("latin-1"))
+    status, out = invoke(capsys, "validate", str(latin))
+    assert status == 2
+    report = json.loads(out)
+    assert report["error"] == "bad_input" and "latin.json" in report["detail"]
+
+
 def unit_step_json(length):
     return {"step": {"cell": "e", "z": [], "chi": {
         "src": length, "dst": "1", "breaks": [["0", "0"], [length, "1"]]}}}
@@ -259,17 +286,108 @@ def test_malformed_rationals_exit_two(corpus_dir, tmp_path, path_json):
     assert json.loads(proc.stdout)["error"] == "bad_input"
 
 
-def test_recursion_error_anywhere_exits_two(corpus_dir, capsys, monkeypatch):
+def test_nesting_past_max_depth_is_refused_before_decoding(
+        tmp_path, capsys, monkeypatch):
     import dipath.cli as cli
 
-    def too_deep(data):
-        raise RecursionError("maximum recursion depth exceeded")
+    def nest(depth):
+        return "[" * depth + "]" * depth
 
-    monkeypatch.setattr(cli, "expr_from_json", too_deep)
-    status, out = invoke(capsys, "normalize", str(corpus_dir / "square.json"),
-                         str(corpus_dir / "path_a.json"))
+    limit = tmp_path / "limit.json"
+    limit.write_text(nest(cli.MAX_DEPTH))
+    data, depth = cli._load_json(str(limit)), 1
+    while data:
+        data, depth = data[0], depth + 1
+    assert depth == cli.MAX_DEPTH
+    # brackets inside strings, after escaped quotes too, do not nest
+    quoted = tmp_path / "quoted.json"
+    quoted.write_text(json.dumps(['\\"[{' * cli.MAX_DEPTH]))
+    assert cli._load_json(str(quoted)) == ['\\"[{' * cli.MAX_DEPTH]
+
+    def no_decoding(text):
+        raise AssertionError("decoded an input past the nesting limit")
+
+    past = tmp_path / "past.json"
+    past.write_text(nest(cli.MAX_DEPTH + 1))
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "loads", no_decoding)
+        status, out = invoke(capsys, "validate", str(past))
     assert status == 2
-    assert json.loads(out)["error"] == "bad_input"
+    report = json.loads(out)
+    assert report["error"] == "bad_input"
+    assert "past.json" in report["detail"]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("kind", ["moore", "normcomp"])
+def test_concatenations_take_exactly_two_operands(corpus_dir, tmp_path, capsys,
+                                                  kind, count):
+    loop = {"step": {"cell": "l", "z": [], "chi": {
+        "src": "1", "dst": "1", "breaks": [["0", "0"], ["1", "1"]]}}}
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({kind: [loop] * count}))
+    status, out = invoke(capsys, "normalize", str(corpus_dir / "loop.json"),
+                         str(path))
+    assert status == 2
+    assert json.loads(out) == {
+        "error": "bad_input",
+        "detail": f"{kind} takes two operands, got {count}"}
+
+
+# one child per interpreter: every argv on stdin runs through cli.run in
+# process, and the exit statuses and reports come back as one JSON list
+VERDICTS = """\
+import contextlib, io, json, sys
+from dipath.cli import run
+verdicts = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = run(argv)
+    verdicts.append([status, json.loads(out.getvalue())])
+print(json.dumps(verdicts))
+"""
+
+
+def _pinned(test):
+    """The cases of a test's one parametrize mark, each as a value tuple."""
+    (mark,) = test.pytestmark
+    return [getattr(case, "values", (case,)) for case in mark.args[1]]
+
+
+@pytest.mark.parametrize("python", [f"python3.{minor}"
+                                    for minor in range(10, 14)])
+def test_every_interpreter_gives_the_pinned_verdicts(corpus_dir, tmp_path,
+                                                     python):
+    exe = shutil.which(python)
+    probe = exe and subprocess.run(
+        [exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+        capture_output=True, text=True, timeout=30)
+    if not probe or probe.returncode or probe.stdout.strip() != python[6:]:
+        pytest.skip(f"{python} is absent or does not run")
+    cases = []  # (input file, error, whether the detail must name the file)
+    for kind, depth, error in [*_pinned(test_deeply_nested_paths_exit_two),
+                               ("moore", 422, "endpoint_mismatch"),
+                               ("moore", 423, "bad_input")]:
+        path = tmp_path / f"{kind}-{depth}.json"
+        path.write_text(deep_path(kind, depth))
+        cases.append((path, error, error == "bad_input"))
+    for i, (text,) in enumerate(_pinned(test_malformed_rationals_exit_two)):
+        path = tmp_path / f"rational-{i}.json"
+        path.write_text(text)
+        cases.append((path, "bad_input", False))
+    argvs = [["normalize", str(corpus_dir / "segment.json"), str(path)]
+             for path, _, _ in cases]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(dipath.__file__)))
+    proc = subprocess.run([exe, "-c", VERDICTS], input=json.dumps(argvs),
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    verdicts = json.loads(proc.stdout)
+    for (path, error, named), (status, report) in zip(cases, verdicts,
+                                                      strict=True):
+        assert (status, report["error"]) == (2, error), path.name
+        assert path.name in report["detail"] or not named, report
 
 
 def test_bad_endpoint_detail_prints_rationals(corpus_dir, tmp_path, capsys):

@@ -119,3 +119,18 @@ def test_all_exports_each_public_import_once():
     assert set(exported) == public
     missing = [name for name in exported if not hasattr(dipath, name)]
     assert not missing, f"__all__ names missing from dipath: {missing}"
+
+
+def test_input_limits_are_decided_before_the_interpreter_guesses():
+    # the nesting limit is counted before decoding and the digit rule is
+    # applied where rationals become text, so no handler may guess either
+    # from an interpreter error afterwards
+    found = [f"{path.name}: {word}"
+             for path in sorted(Path(dipath.__file__).parent.glob("*.py"))
+             for word in ("RecursionError", "integer string conversion")
+             if word in path.read_text(encoding="utf-8")]
+    assert not found, f"interpreter limits guessed in dipath: {found}"
+    (run,) = _functions("cli.py", {"run"}).values()
+    handlers = [node.type for node in ast.walk(run)
+                if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(h) for h in handlers] == ["EngineError"]

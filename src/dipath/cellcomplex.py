@@ -130,8 +130,9 @@ def _sq_norm_terms(z: tuple[Fraction, ...]) -> tuple[int, int]:
     numerator over one positive integer denominator."""
     num, den = 0, 1
     for zi in z:
-        d2 = zi.denominator * zi.denominator
-        num = num * d2 + zi.numerator * zi.numerator * den
+        n, d = zi.as_integer_ratio()
+        d2 = d * d
+        num = num * d2 + n * n * den
         den *= d2
     return num, den
 
@@ -233,7 +234,8 @@ class Complex:
             raise UnknownStateError("state names must be distinct")
         # cells in attachment order; arcs by source state, sorted by id
         vars(self).update(states=states, _cells={}, _boundaries={},
-                          _arcs=dict.fromkeys(states, ()), _carrier_tables={})
+                          _arcs=dict.fromkeys(states, ()), _carrier_tables={},
+                          _parent_tables={}, _new_cells=())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Complex is immutable: cannot set {name!r}")
@@ -277,8 +279,11 @@ class Complex:
         globe its two boundary paths, normalized there.  Each source state
         that gained cells then gets one new arc tuple, sorted by id.  After
         that the child is never written again, and it starts with empty
-        caches."""
+        caches.  It keeps the parent's table cache and its new cells, not
+        the parent, so that its carrier tables grow from the parent's."""
         child = Complex(self.states)
+        vars(child).update(_parent_tables=self._carrier_tables,
+                           _new_cells=cells)
         child._cells.update(self._cells)
         child._boundaries.update(self._boundaries)
         child._arcs.update(self._arcs)
@@ -463,26 +468,29 @@ class Complex:
         """``np`` itself when it is a well-formed path of this complex: every
         segment in a known cell, with the right point arity, an interior
         point and a time law onto [0, 1], the segments chaining, and the
-        endpoints those of the chain."""
+        endpoints those of the chain.  One pass over the segments; the
+        first fault of a segment wins over an earlier chain break, which
+        wins over the endpoints."""
         if not np.segs:
             raise BadInputError("a path has at least one segment")
-        chain = []
+        cells, at, broken = self._cells, None, None
         for seg in np.segs:
-            cell = self.cell(seg.cell)
-            chain.append(cell)
+            cell = cells.get(seg.cell) or self.cell(seg.cell)
             if len(seg.z) != cell.disk_dim:
                 raise BadDimError(
                     f"segment in {cell.id}: wrong point arity {len(seg.z)}")
-            if cell.disk_dim > 0 and disk_side(seg.z) >= 0:
+            if cell.disk_dim and disk_side(seg.z) >= 0:
                 raise OutOfDomainError(
                     f"segment point {format_point(seg.z)} must be interior")
             if seg.chi.pts[-1][2:] != (1, 1):
                 raise BadLengthError("segment time law must land in [0,1]")
-        for a, b in zip(chain, chain[1:]):
-            if a.dst != b.src:
-                raise EndpointMismatchError(
-                    f"segments do not chain: {a.dst} != {b.src}")
-        if np.start != chain[0].src or np.end != chain[-1].dst:
+            if at is not None and at != cell.src and broken is None:
+                broken = EndpointMismatchError(
+                    f"segments do not chain: {at} != {cell.src}")
+            at = cell.dst
+        if broken is not None:
+            raise broken
+        if np.start != cells[np.segs[0].cell].src or np.end != at:
             raise EndpointMismatchError("endpoint states do not match segments")
         return np
 
@@ -492,9 +500,11 @@ class Complex:
                       ) -> Mapping[tuple[str, str], tuple[tuple[str, ...], ...]]:
         """Every carrier word of at most ``bound`` cells (all of them when
         None), grouped by (src, dst) in state order and sorted within each
-        pair; pairs without carriers are absent.  One walk per source state,
-        computed once per bound: the complex is immutable, so the table is
-        cached and shared, read-only, by every caller."""
+        pair; pairs without carriers are absent.  Computed once per bound,
+        grown from the parent's table when :meth:`extend` made the complex
+        from one that has it, else walked from every source state: the
+        complex is immutable, so the table is cached and shared, read-only,
+        by every caller."""
         check_bound(bound)  # first: True would hit the table of bound 1
         try:
             return self._carrier_tables[bound]
@@ -503,14 +513,43 @@ class Complex:
         if bound is None and not self.loop_free:
             raise UnboundedEnumerationError(
                 "complex has loops: pass an explicit carrier bound")
-        table = {}
-        for src in self.states:
-            found = self._walk_carriers(src, bound)
-            for dst in self.states:
-                if dst in found:
-                    table[(src, dst)] = tuple(sorted(found[dst]))
+        if bound in self._parent_tables:
+            table = self._grow(self._parent_tables[bound], bound)
+        else:
+            table = {}
+            for src in self.states:
+                found = self._walk_carriers(src, bound)
+                for dst in self.states:
+                    if dst in found:
+                        table[(src, dst)] = tuple(sorted(found[dst]))
         self._carrier_tables[bound] = MappingProxyType(table)
         return self._carrier_tables[bound]
+
+    def _grow(self, parent: Mapping, bound: Optional[int]) -> dict:
+        """The parent's table of ``bound`` plus the words through the new
+        cells: split at its first new cell c, such a word is a parent word
+        ending at c's source or none, then c, then any word.  Only the pairs
+        that gain words are sorted again; the others share the parent's."""
+        stack = []
+        for c in self._new_cells:
+            heads = [(c.src, ())] + [(a, w) for (a, b), ws in parent.items()
+                                     if b == c.src for w in ws]
+            stack.extend((a, c.dst, w + (c.id,)) for a, w in heads
+                         if bound is None or len(w) < bound)
+        found: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+        while stack:
+            src, state, word = stack.pop()
+            found.setdefault((src, state), []).append(word)
+            if bound is None or len(word) < bound:
+                stack.extend((src, cell.dst, word + (cell.id,))
+                             for cell in self._arcs[state])
+        table = {**parent, **{p: tuple(sorted((*parent.get(p, ()), *words)))
+                              for p, words in found.items()}}
+        if len(table) > len(parent):  # new pairs: back into state order
+            rank = {s: i for i, s in enumerate(self.states)}
+            table = {p: table[p] for p in sorted(
+                table, key=lambda p: (rank[p[0]], rank[p[1]]))}
+        return table
 
     def enumerate_carriers(self, src: str, dst: str,
                            max_len: Optional[int] = None) -> list[tuple[str, ...]]:
@@ -579,7 +618,7 @@ def expr_to_json(expr: PathExpr) -> dict:
 
 def expr_from_json(data) -> PathExpr:
     if not isinstance(data, dict) or len(data) != 1:
-        raise BadInputError(f"malformed path expression: {data!r}")
+        raise BadInputError(f"malformed path expression: {data!r:.40}")
     kind, body = next(iter(data.items()))
     try:
         if kind == "step":
@@ -598,7 +637,7 @@ def expr_from_json(data) -> PathExpr:
             return Repar(expr_from_json(body["path"]), pl_from_json(body["phi"]))
     except (KeyError, TypeError) as exc:
         raise BadInputError(f"malformed path expression: {exc}") from exc
-    raise BadInputError(f"unknown path expression kind {kind!r}")
+    raise BadInputError(f"unknown path expression kind {kind!r:.40}")
 
 
 def normal_path_to_json(np: NormalPath) -> dict:
@@ -642,7 +681,7 @@ def cell_to_json(cell: Cell) -> dict:
 
 def cell_from_json(data) -> Cell:
     if not isinstance(data, dict):
-        raise BadInputError(f"malformed cell: {data!r}")
+        raise BadInputError(f"malformed cell: {data!r:.40}")
     try:
         minus = data.get("boundary_minus")
         plus = data.get("boundary_plus")

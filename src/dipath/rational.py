@@ -60,7 +60,7 @@ def format_point(values) -> str:
 def json_int(value, what: str) -> int:
     """A JSON integer field; floats, booleans and strings are refused."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise BadInputError(f"{what} must be an integer, got {value!r}")
+        raise BadInputError(f"{what} must be an integer, got {value!r:.40}")
     return value
 
 
@@ -68,7 +68,7 @@ def json_str(value, what: str) -> str:
     """A JSON string field naming a state or a cell; numbers, booleans,
     lists, objects and null are refused."""
     if not isinstance(value, str):
-        raise BadInputError(f"{what} must be a string, got {value!r}")
+        raise BadInputError(f"{what} must be a string, got {value!r:.40}")
     return value
 
 

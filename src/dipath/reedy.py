@@ -426,8 +426,9 @@ def pushout_steps(base: Complex, cells, bound: int):
     its word comes from the base's carriers, and its slot path is checked
     against both complexes only while it is a fresh run.  ``base``'s own
     carriers start fresh; later, the words of the step before's shapes are.
-    A step's right list is the next step's base carriers, shared; an equal
-    right list is the left list itself."""
+    Both lists add to the step before's right list (first, ``base``'s
+    carriers): the left list the shapes' words, the right list the pushout's
+    own carriers through the cell.  An equal right list is the left list."""
     if bound is None:
         raise BadInputError("a pushout check needs a carrier bound, got None")
     check_bound(bound)
@@ -458,12 +459,12 @@ def pushout_steps(base: Complex, cells, bound: int):
         lhs = sorted(words + new)
         if any(map(eq, lhs, islice(lhs, 1, None))):
             raise EngineError("shape enumeration produced duplicate carriers")
-        words = sorted(chain.from_iterable(
-            pushout.carrier_table(bound).values()))
-        # equal sides share one list: printed the same, in half the memory
-        bijection = lhs == words
-        if bijection:
-            words = lhs
+        table = pushout.carrier_table(bound)
+        through = sorted(w for ws in table.values() for w in ws
+                         if cell.id in w)
+        # equal new words make equal sides, which share one list
+        bijection = sorted(new) == through
+        words = lhs if bijection else sorted(words + through)
         yield {"cell": cell.id, "bound": bound, "lhs_carriers": lhs,
                "rhs_carriers": words, "bijection": bijection}
         base = pushout
@@ -514,7 +515,7 @@ def elem_from_json(data, base: Complex) -> ReedyElem:
         raise BadInputError(f"malformed element: {exc}") from exc
     for raw in raw_entries:
         if not isinstance(raw, dict) or len(raw) != 1:
-            raise BadInputError(f"malformed entry: {raw!r}")
+            raise BadInputError(f"malformed entry: {raw!r:.40}")
         kind, body = next(iter(raw.items()))
         if kind == "path":
             entries.append(APath(normal_path_from_json(body, base)))
@@ -529,5 +530,5 @@ def elem_from_json(data, base: Complex) -> ReedyElem:
             except (KeyError, TypeError) as exc:
                 raise BadInputError(f"malformed cell path: {exc}") from exc
         else:
-            raise BadInputError(f"unknown entry kind {kind!r}")
+            raise BadInputError(f"unknown entry kind {kind!r:.40}")
     return make_elem(obj, entries, base)

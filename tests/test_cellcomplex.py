@@ -606,6 +606,63 @@ def test_enumerate_carriers_reads_the_shared_table(monkeypatch):
         assert walks == list(cx.states)
 
 
+def assert_grown_tables_are_walked(desc, bound, size=1):
+    """Attach ``desc``'s cells to the complex with no cells, ``size`` at a
+    time, building the table of ``bound`` at every step with no walk: each
+    grown table holds the same pairs, in the same order, with the same
+    sorted tuples as the walked table of the same prefix."""
+    cx = Complex(desc.states)
+    cx.carrier_table(bound)
+    for k in range(0, len(desc.cells), size):
+        cx = cx.extend(*desc.cells[k:k + size])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Complex, "_walk_carriers", None)
+            grown = cx.carrier_table(bound)
+        prefix = ComplexDesc(desc.states, desc.cells[:k + size])
+        walked = validate(prefix).carrier_table(bound)
+        assert list(grown.items()) == list(walked.items())
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_grown_tables_equal_walked_tables_on_the_corpus(name):
+    # every prefix of every fixture, at bounds 0-8 and unbounded when loop
+    # free; loop_heavy, whose loops make the bound cut every table, too
+    desc = CORPUS[name]
+    for bound in [*range(9), *([None] if kahn_loop_free(desc) else [])]:
+        assert_grown_tables_are_walked(desc, bound)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 10**6), st.one_of(st.none(), st.integers(0, 6)),
+       st.integers(1, 3))
+def test_grown_tables_equal_walked_tables(seed, bound, size):
+    from helpers import rand_loopfree_complex
+
+    desc = rand_loopfree_complex(Random(seed)).desc
+    assert_grown_tables_are_walked(desc, bound, size)
+
+
+@pytest.mark.parametrize("bound, size", [(0, 1), (2, 1), (3, 1), (3, 4)])
+def test_grown_tables_at_the_edges(bound, size):
+    # bound 0 lists no word; the loops l and g (source = target) and the
+    # cycle through f and h under a bound; all four cells in one extend
+    desc = ComplexDesc(("a", "b"), (edge("e", "a", "b"), edge("l", "a", "a"),
+                                    edge("g", "b", "b"), edge("f", "b", "a")))
+    assert_grown_tables_are_walked(desc, bound, size)
+
+
+def test_a_child_with_a_cycle_refuses_the_unbounded_table():
+    # the parent has an unbounded table to grow from; the child may not
+    parent = Complex(("a", "b")).extend(edge("e", "a", "b"))
+    assert dict(parent.carrier_table()) == {("a", "b"): (("e",),)}
+    child = parent.extend(edge("f", "b", "a"))
+    with pytest.raises(UnboundedEnumerationError):
+        child.carrier_table()
+    assert dict(child.carrier_table(3)) == {
+        ("a", "a"): (("e", "f"),), ("a", "b"): (("e",), ("e", "f", "e")),
+        ("b", "a"): (("f",), ("f", "e", "f")), ("b", "b"): (("f", "e"),)}
+
+
 def brute_force_carriers(cx, src, dst, bound):
     """Cell words src -> dst of at most ``bound`` cells, by a walk that
     tries every cell at every step."""
@@ -1016,11 +1073,21 @@ def test_rejected_paths_are_rejected_again():
     outside = NormalPath("bot", "top", (Seg("sq", (F(1),), mu(1)),))
     broken = NormalPath("bot", "top", (Seg("a", (), mu(1)),
                                        Seg("d", (), mu(1))))
-    for path, error in ((outside, OutOfDomainError),
-                        (broken, EndpointMismatchError)):
+    # two faults: a chain break after segment 1, then a bad segment 2; the
+    # fault of the segment wins over the earlier break
+    a, d = Seg("a", (), mu(1)), Seg("d", (), mu(1))
+    wrong_arity = NormalPath("bot", "top", (a, d, Seg("sq", (), mu(1))))
+    broken_outside = NormalPath("bot", "top", (a, d, Seg("sq", (F(1),), mu(1))))
+    for path, error, message in (
+            (outside, OutOfDomainError, None),
+            (broken, EndpointMismatchError, None),
+            (wrong_arity, BadDimError, "segment in sq: wrong point arity 0"),
+            (broken_outside, OutOfDomainError,
+             "segment point (1) must be interior")):
         for _ in range(2):
-            with pytest.raises(error):
+            with pytest.raises(error) as raised:
                 cx.check_normal_path(path)
+            assert message is None or str(raised.value) == message
 
 
 def test_nested_normal_paths_are_checked_against_the_complex():

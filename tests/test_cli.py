@@ -167,6 +167,42 @@ def test_non_string_element_names_are_rejected(corpus_dir, tmp_path, capsys,
     assert json.loads(out)["error"] == "bad_input"
 
 
+LONG_LIST, LONG_NAME = list(range(50_000)), "x" * 50_000
+
+
+@pytest.mark.parametrize("command, data, value", [
+    ("validate", {"states": [LONG_LIST], "cells": []}, LONG_LIST),
+    ("validate", {"states": ["0", "1"], "cells": [LONG_LIST]}, LONG_LIST),
+    ("validate", {"states": ["0", "1"], "cells": [dict(EDGE, dim=LONG_NAME)]},
+     LONG_NAME),
+    ("normalize", LONG_LIST, LONG_LIST),
+    ("normalize", {LONG_NAME: []}, LONG_NAME),
+    ("reedy-normalize", [LONG_LIST], LONG_LIST),
+    ("reedy-normalize", [{LONG_NAME: []}], LONG_NAME),
+], ids=["list_state", "list_cell", "string_dim", "list_expression",
+        "expression_kind", "list_entry", "entry_kind"])
+def test_error_details_cut_the_refused_value(corpus_dir, tmp_path, capsys,
+                                              command, data, value):
+    # the detail quotes the first 40 characters of the refused value's
+    # repr, never the whole value
+    if command == "reedy-normalize":
+        entries = data
+        data = json.loads((corpus_dir / "elem_two_runs.json").read_text())
+        data["entries"] = entries
+    bad = tmp_path / "input.json"
+    bad.write_text(json.dumps(data))
+    argv = {"validate": [str(bad)],
+            "normalize": [str(corpus_dir / "square.json"), str(bad)],
+            "reedy-normalize": [str(corpus_dir / "triangle.json"), str(bad),
+                                "--cell", "t"]}[command]
+    status, out = invoke(capsys, command, *argv)
+    assert status == 2
+    report = json.loads(out)
+    assert report["error"] == "bad_input"
+    assert report["detail"].endswith(repr(value)[:40])
+    assert len(report["detail"]) < 100
+
+
 def deep_path(kind, depth):
     """A path ``depth`` levels deep whose innermost Moore or NormComp
     joins two steps that do not meet; a repar nest wraps one such Moore."""
@@ -335,17 +371,17 @@ def test_concatenations_take_exactly_two_operands(corpus_dir, tmp_path, capsys,
 
 
 # one child per interpreter: every argv on stdin runs through cli.run in
-# process, and the exit statuses and reports come back as one JSON list
-VERDICTS = """\
+# process, and the exit statuses and stdouts come back as one JSON list
+RUN_ARGVS = """\
 import contextlib, io, json, sys
 from dipath.cli import run
-verdicts = []
+results = []
 for argv in json.load(sys.stdin):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = run(argv)
-    verdicts.append([status, json.loads(out.getvalue())])
-print(json.dumps(verdicts))
+    results.append([status, out.getvalue()])
+print(json.dumps(results))
 """
 
 
@@ -355,16 +391,30 @@ def _pinned(test):
     return [getattr(case, "values", (case,)) for case in mark.args[1]]
 
 
-@pytest.mark.parametrize("python", [f"python3.{minor}"
-                                    for minor in range(10, 14)])
-def test_every_interpreter_gives_the_pinned_verdicts(corpus_dir, tmp_path,
-                                                     python):
+INTERPRETERS = [f"python3.{minor}" for minor in range(10, 14)]
+
+
+def run_under(python, argvs):
+    """(status, stdout) of each argv run through ``cli.run`` in one child of
+    ``python`` that finds dipath through ``PYTHONPATH`` only; skip when the
+    interpreter is absent or fails its version probe."""
     exe = shutil.which(python)
     probe = exe and subprocess.run(
         [exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
         capture_output=True, text=True, timeout=30)
     if not probe or probe.returncode or probe.stdout.strip() != python[6:]:
         pytest.skip(f"{python} is absent or does not run")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(dipath.__file__)))
+    proc = subprocess.run([exe, "-c", RUN_ARGVS], input=json.dumps(argvs),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("python", INTERPRETERS)
+def test_every_interpreter_gives_the_pinned_verdicts(corpus_dir, tmp_path,
+                                                     python):
     cases = []  # (input file, error, whether the detail must name the file)
     for kind, depth, error in [*_pinned(test_deeply_nested_paths_exit_two),
                                ("moore", 422, "endpoint_mismatch"),
@@ -378,16 +428,24 @@ def test_every_interpreter_gives_the_pinned_verdicts(corpus_dir, tmp_path,
         cases.append((path, "bad_input", False))
     argvs = [["normalize", str(corpus_dir / "segment.json"), str(path)]
              for path, _, _ in cases]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(dipath.__file__)))
-    proc = subprocess.run([exe, "-c", VERDICTS], input=json.dumps(argvs),
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    verdicts = json.loads(proc.stdout)
-    for (path, error, named), (status, report) in zip(cases, verdicts,
-                                                      strict=True):
+    verdicts = run_under(python, argvs)
+    for (path, error, named), (status, out) in zip(cases, verdicts,
+                                                   strict=True):
+        report = json.loads(out)
         assert (status, report["error"]) == (2, error), path.name
         assert path.name in report["detail"] or not named, report
+
+
+@pytest.mark.parametrize("python", INTERPRETERS)
+def test_every_interpreter_prints_the_corpus_digests(corpus_dir, python):
+    # the 302 commands of test_cli_corpus_digests, in one child per
+    # interpreter, against the same expected lines
+    argvs = list(corpus_commands())
+    results = run_under(python, [[*argv[:-1], str(corpus_dir / argv[-1])]
+                                 for argv in argvs])
+    got = [f"{hashlib.sha256(out.encode('utf-8')).hexdigest()} {status} "
+           f"{' '.join(argv)}" for argv, (status, out) in zip(argvs, results)]
+    assert got == CORPUS_DIGESTS.read_text(encoding="utf-8").splitlines()
 
 
 def test_bad_endpoint_detail_prints_rationals(corpus_dir, tmp_path, capsys):
@@ -714,11 +772,13 @@ def corpus_commands():
                 yield ["--format", fmt, *command, f"{name}.json"]
 
 
+CORPUS_DIGESTS = Path(__file__).parent / "golden" / "cli_corpus.sha256"
+
+
 def test_cli_corpus_digests(corpus_dir, capsys):
     # one line per command: the sha256 of its stdout, its exit status and
     # its argv; the expected lines are kept under tests/golden
-    want = (Path(__file__).parent / "golden" / "cli_corpus.sha256"
-            ).read_text(encoding="utf-8").splitlines()
+    want = CORPUS_DIGESTS.read_text(encoding="utf-8").splitlines()
     got = []
     for argv in corpus_commands():
         status, out = invoke(capsys, *argv[:-1], str(corpus_dir / argv[-1]))

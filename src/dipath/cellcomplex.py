@@ -500,49 +500,52 @@ class Complex:
                       ) -> Mapping[tuple[str, str], tuple[tuple[str, ...], ...]]:
         """Every carrier word of at most ``bound`` cells (all of them when
         None), grouped by (src, dst) in state order and sorted within each
-        pair; pairs without carriers are absent.  Computed once per bound,
-        grown from the parent's table when :meth:`extend` made the complex
-        from one that has it, else walked from every source state: the
-        complex is immutable, so the table is cached and shared, read-only,
-        by every caller."""
-        check_bound(bound)  # first: True would hit the table of bound 1
-        try:
-            return self._carrier_tables[bound]
-        except KeyError:
-            pass
+        pair; pairs without carriers are absent.  Computed once per bound by
+        :meth:`_grow`: from the parent's table, seeded by the new cells, when
+        :meth:`extend` made the complex from one that has it, else from no
+        table, seeded by every cell.  The complex is immutable, so the table
+        is cached and shared, read-only, by every caller."""
+        self._refuse(bound)
+        if bound not in self._carrier_tables:
+            parent = self._parent_tables.get(bound)
+            self._carrier_tables[bound] = MappingProxyType(
+                self._grow({}, self._cells.values(), bound) if parent is None
+                else self._grow(parent, self._new_cells, bound))
+        return self._carrier_tables[bound]
+
+    def _refuse(self, bound: Optional[int], *states: str) -> None:
+        """Refuse an unknown state, then a bound that :func:`check_bound`
+        refuses (first: True would hit the table of bound 1), then no bound
+        on a complex with loops."""
+        if any(s not in self._arcs for s in states):
+            raise UnknownStateError(
+                "unknown state " + " or ".join(map(repr, states)))
+        check_bound(bound)
         if bound is None and not self.loop_free:
             raise UnboundedEnumerationError(
                 "complex has loops: pass an explicit carrier bound")
-        if bound in self._parent_tables:
-            table = self._grow(self._parent_tables[bound], bound)
-        else:
-            table = {}
-            for src in self.states:
-                found = self._walk_carriers(src, bound)
-                for dst in self.states:
-                    if dst in found:
-                        table[(src, dst)] = tuple(sorted(found[dst]))
-        self._carrier_tables[bound] = MappingProxyType(table)
-        return self._carrier_tables[bound]
 
-    def _grow(self, parent: Mapping, bound: Optional[int]) -> dict:
-        """The parent's table of ``bound`` plus the words through the new
-        cells: split at its first new cell c, such a word is a parent word
-        ending at c's source or none, then c, then any word.  Only the pairs
-        that gain words are sorted again; the others share the parent's."""
+    def _grow(self, parent: Mapping, cells, bound: Optional[int]) -> dict:
+        """``parent``, a table of ``bound``, plus the words that, split at
+        their first cell c among ``cells``, are a word of ``parent`` ending at
+        c's source or none, then c, then any word.  Seeded by a child's new
+        cells it grows the parent's table; from no table and every cell it
+        lists each word once, under its first cell; from no table and one
+        state's arcs, that state's words.  Only pairs that gain words are
+        sorted; the rest share the parent's tuples."""
         stack = []
-        for c in self._new_cells:
-            heads = [(c.src, ())] + [(a, w) for (a, b), ws in parent.items()
-                                     if b == c.src for w in ws]
-            stack.extend((a, c.dst, w + (c.id,)) for a, w in heads
-                         if bound is None or len(w) < bound)
+        for c in cells:
+            for a, w in [(c.src, ()), *((a, w) for (a, b), ws in parent.items()
+                                        if b == c.src for w in ws)]:
+                if bound is None or len(w) < bound:
+                    stack.append((a, c.dst, w + (c.id,)))
         found: dict[tuple[str, str], list[tuple[str, ...]]] = {}
         while stack:
             src, state, word = stack.pop()
             found.setdefault((src, state), []).append(word)
             if bound is None or len(word) < bound:
-                stack.extend((src, cell.dst, word + (cell.id,))
-                             for cell in self._arcs[state])
+                for cell in self._arcs[state]:
+                    stack.append((src, cell.dst, word + (cell.id,)))
         table = {**parent, **{p: tuple(sorted((*parent.get(p, ()), *words)))
                               for p, words in found.items()}}
         if len(table) > len(parent):  # new pairs: back into state order
@@ -555,27 +558,11 @@ class Complex:
                            max_len: Optional[int] = None) -> list[tuple[str, ...]]:
         """All cell words realizable as carriers of paths src -> dst, in
         sorted order.  ``max_len`` is required when the complex has
-        directed cycles.  Read from the carrier table of that bound, which
-        is built on the first query and shared by every later one."""
-        if src not in self._arcs or dst not in self._arcs:
-            raise UnknownStateError(f"unknown state {src!r} or {dst!r}")
-        return list(self.carrier_table(max_len).get((src, dst), ()))
-
-    def _walk_carriers(self, src: str, bound: Optional[int]
-                       ) -> dict[str, list[tuple[str, ...]]]:
-        """Carrier words from ``src`` of at most ``bound`` cells, by end
-        state."""
-        found: dict[str, list[tuple[str, ...]]] = {}
-        stack: list[tuple[str, tuple[str, ...]]] = [(src, ())]
-        while stack:
-            state, word = stack.pop()
-            if bound is not None and len(word) >= bound:
-                continue
-            for cell in self._arcs[state]:
-                longer = word + (cell.id,)
-                found.setdefault(cell.dst, []).append(longer)
-                stack.append((cell.dst, longer))
-        return found
+        directed cycles.  One :meth:`_grow` from no table, seeded by the
+        arcs out of ``src``: no carrier table is read or built."""
+        self._refuse(max_len, src, dst)
+        found = self._grow({}, self._arcs[src], max_len)
+        return list(found.get((src, dst), ()))
 
 
 def validate(desc: ComplexDesc) -> Complex:

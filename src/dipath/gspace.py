@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import BadInputError, DuplicateLabelError, LengthChainMismatchError
 from .rational import as_length, format_ratio
-from .reparam import PLHomeo, absorb, add_ratio, pl_from_json
+from .reparam import PLHomeo, absorb, add_ratio
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,6 @@ class TensorElem:
     def is_canonical(self) -> bool:
         return self.outer.is_identity()
 
-    def to_json(self) -> dict:
-        return {
-            "outer": self.outer.to_json(),
-            "parts": [{"label": f.label, "twist": f.twist.to_json()}
-                      for f in self.factors],
-        }
-
 
 def elem_make(outer: PLHomeo, parts: Sequence[tuple[str, PLHomeo]]) -> TensorElem:
     """Store a raw representative; lengths must chain exactly."""
@@ -99,12 +92,3 @@ def elem_normalize(elem: TensorElem) -> TensorElem:
     end = elem.outer.pts[-1][:2]  # the identity's one break past (0, 0)
     return TensorElem(PLHomeo(((0, 1, 0, 1), (*end, *end))), tuple(
         Factor(f.label, twist) for f, twist in zip(elem.factors, twists)))
-
-
-def elem_from_json(data) -> TensorElem:
-    try:
-        outer = pl_from_json(data["outer"])
-        parts = [(p["label"], pl_from_json(p["twist"])) for p in data["parts"]]
-    except (KeyError, TypeError) as exc:
-        raise BadInputError(f"malformed tensor element: {exc}") from exc
-    return elem_make(outer, parts)

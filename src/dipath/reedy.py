@@ -456,14 +456,17 @@ def pushout_steps(base: Complex, cells, bound: int):
             if realized.carrier() != word:
                 raise EngineError(f"witness realization carrier "
                                   f"{realized.carrier()} != {word}")
-        lhs = sorted(words + new)
-        if any(map(eq, lhs, islice(lhs, 1, None))):
+        # a carried word never holds the cell and every shape word does, so
+        # only the new words can repeat one
+        new.sort()
+        if any(map(eq, new, islice(new, 1, None))):
             raise EngineError("shape enumeration produced duplicate carriers")
+        lhs = sorted(words + new)
         table = pushout.carrier_table(bound)
         through = sorted(w for ws in table.values() for w in ws
                          if cell.id in w)
         # equal new words make equal sides, which share one list
-        bijection = sorted(new) == through
+        bijection = new == through
         words = lhs if bijection else sorted(words + through)
         yield {"cell": cell.id, "bound": bound, "lhs_carriers": lhs,
                "rhs_carriers": words, "bijection": bijection}

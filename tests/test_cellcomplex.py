@@ -582,45 +582,60 @@ def test_carrier_counts_match_matrix_powers():
             assert cx.carrier_table(table_bound) is table
 
 
-def test_enumerate_carriers_reads_the_shared_table(monkeypatch):
-    # the first query builds the table of its bound, one walk per source
-    # state; later queries and carrier_table itself walk no more
-    walks = []
-    walk = Complex._walk_carriers
-    monkeypatch.setattr(Complex, "_walk_carriers",
-                        lambda self, src, *rest: walks.append(src)
-                        or walk(self, src, *rest))
-    for name, bound in [("square", None), ("loop_heavy", 4)]:
-        cx = build(name)
-        walks.clear()
+def spy_grow(patch):
+    """Record the parent table and the seed cells of every ``_grow``."""
+    calls = []
+    grow = Complex._grow
+    patch.setattr(Complex, "_grow", lambda self, parent, cells, bound:
+                  calls.append((parent, tuple(cells)))
+                  or grow(self, parent, cells, bound))
+    return calls
+
+
+def test_a_lone_query_walks_from_its_source_only(monkeypatch):
+    # one grow from no table, seeded by the arcs of src; no table is read
+    # or built, and the words are the table's pair
+    calls = spy_grow(monkeypatch)
+    cases = [(build("square"), None), (build("loop_heavy"), 4),
+             (seeded_grid(Random(7), 5, 5), 10)]
+    for cx, bound in cases:
         a, b = cx.states[0], cx.states[-1]
+        calls.clear()
         words = cx.enumerate_carriers(a, b, bound)
-        assert walks == list(cx.states)
-        table = cx.carrier_table(bound)
-        assert list(table.get((a, b), ())) == words
-        assert cx.carrier_table(bound) is table
-        for x in cx.states:
-            for y in cx.states:
-                assert cx.enumerate_carriers(x, y, bound) == list(
-                    table.get((x, y), ()))
-        assert walks == list(cx.states)
+        assert calls == [({}, cx._arcs[a])]
+        assert cx._carrier_tables == {}
+        assert words == list(cx.carrier_table(bound).get((a, b), ()))
+        assert words
+
+
+def brute_force_table(cx, bound):
+    """The carrier table of ``bound`` from :func:`brute_force_carriers`,
+    pair by pair in state order."""
+    return {(a, b): tuple(words) for a in cx.states for b in cx.states
+            if (words := brute_force_carriers(cx, a, b, bound))}
 
 
 def assert_grown_tables_are_walked(desc, bound, size=1):
     """Attach ``desc``'s cells to the complex with no cells, ``size`` at a
-    time, building the table of ``bound`` at every step with no walk: each
-    grown table holds the same pairs, in the same order, with the same
-    sorted tuples as the walked table of the same prefix."""
+    time, growing the table of ``bound`` at every step from the table of
+    the step before, seeded by the new cells: each grown table holds the
+    same pairs, in the same order, with the same sorted tuples as the fresh
+    table of the same prefix and the table of brute_force_carriers."""
     cx = Complex(desc.states)
-    cx.carrier_table(bound)
+    table = cx.carrier_table(bound)
     for k in range(0, len(desc.cells), size):
-        cx = cx.extend(*desc.cells[k:k + size])
+        cells = desc.cells[k:k + size]
+        cx = cx.extend(*cells)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Complex, "_walk_carriers", None)
+            calls = spy_grow(patch)
             grown = cx.carrier_table(bound)
-        prefix = ComplexDesc(desc.states, desc.cells[:k + size])
-        walked = validate(prefix).carrier_table(bound)
-        assert list(grown.items()) == list(walked.items())
+        (parent, seeds), = calls
+        assert parent is table and seeds == cells
+        prefix = validate(ComplexDesc(desc.states, desc.cells[:k + size]))
+        fresh = prefix.carrier_table(bound)
+        assert list(grown.items()) == list(fresh.items())
+        assert list(grown.items()) == list(brute_force_table(cx, bound).items())
+        table = grown
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

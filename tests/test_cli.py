@@ -833,6 +833,32 @@ def test_failed_witness_guard_exits_two(corpus_dir, capsys, monkeypatch):
     assert json.loads(out)["error"] == "engine_error"
 
 
+def test_duplicate_carriers_are_an_engine_error(corpus_dir, capsys,
+                                                monkeypatch):
+    # the shape enumeration lists each word once; a shape yielded twice
+    # trips the guard, in process and through the CLI
+    import dipath.reedy as reedy_mod
+    from dipath.errors import EngineError
+    from dipath.mooreflow import chain_complex, counit_check
+
+    real = reedy_mod._shapes
+
+    def first_twice(*args):
+        shapes = real(*args)
+        first = next(shapes)
+        yield first
+        yield first
+        yield from shapes
+
+    monkeypatch.setattr(reedy_mod, "_shapes", first_twice)
+    with pytest.raises(EngineError, match="duplicate carriers"):
+        counit_check(chain_complex(2), 2)
+    status, out = invoke(capsys, "counit-check",
+                         str(corpus_dir / "square.json"), "--bound", "4")
+    assert status == 2
+    assert json.loads(out)["error"] == "engine_error"
+
+
 def test_cross_process_byte_determinism(corpus_dir):
     # Separate interpreter runs (fresh hash seeds) must agree byte for byte.
     # The children import the same dipath copy as this test (installed or

@@ -7,7 +7,6 @@ import pytest
 
 from dipath.errors import DuplicateLabelError, LengthChainMismatchError
 from dipath.gspace import (
-    elem_from_json,
     elem_make,
     elem_normalize,
     free,
@@ -109,8 +108,3 @@ def test_elem_normalize_distinguishes_twists():
     assert elem_normalize(a) == elem_normalize(b)
     c = elem_make(identity(1), [("b", mu(1))])
     assert elem_normalize(a) != elem_normalize(c)
-
-
-def test_json_roundtrips():
-    e = elem_make(inverse(mu(2)), [("a", identity(2))])
-    assert elem_from_json(e.to_json()) == e

@@ -1,34 +1,34 @@
 """Flow presentations extracted from complexes.
 
 The functor pair connecting complexes with their combinatorial shadows acts
-here at presentation level: a chain of globes contributes a single stratum,
-a globe of a free space comes back unchanged from the geometric round trip,
-the counit is checked one attachment at a time, and the fundamental
-category of a loop-free two-dimensional complex is computed as edge words
-modulo the congruence generated by globe boundaries, in one pass over a
-topological order of the states: the classes between two states come from
-the classes one edge shorter, so no hom's words are ever listed.
+here at presentation level, through the engine: a chain of globes is a
+complex whose one normal form through the cells' interiors is its single
+stratum, a free space over labels U is |U| parallel edges whose
+fundamental category gives U back, the counit is checked one attachment at
+a time, and the fundamental category of a loop-free two-dimensional
+complex is computed as edge words modulo the congruence generated by globe
+boundaries, in one pass over a topological order of the states: the
+classes between two states come from the classes one edge shorter, so no
+hom's words are ever listed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
 
-from .cellcomplex import Cell, Complex, ComplexDesc, validate
-from .errors import (
-    BadInputError,
-    HasLoopsError,
-)
-from .gspace import FreeGSpace, free
-from .rational import format_fraction
+from .cellcomplex import Cell, Complex, ComplexDesc, Moore, Step, validate
+from .errors import BadInputError, HasLoopsError
+from .gspace import free
+from .rational import format_fraction, json_int
 from .reedy import pushout_steps
+from .reparam import mu
 
 Word = tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
-# strata
+# chains of globes
 
 
 @dataclass(frozen=True)
@@ -41,70 +41,64 @@ class StratumDesc:
     reparam_arity: int
 
 
-def make_stratum(carrier, factor_dims) -> StratumDesc:
-    carrier = tuple(carrier)
-    dims = tuple(int(d) for d in factor_dims)
-    if len(carrier) != len(dims):
-        raise BadInputError("carrier and factor dimensions disagree")
-    return StratumDesc(carrier, dims, len(carrier))
+def _chain(disk_dims) -> Complex:
+    """The chain of globes with the given disk dimensions: states a0..ap,
+    and from a(i-1) to ai the edge gi (dimension 0), or the globe gi over
+    the parallel edges gi- and gi+ (dimension 1).  ``validate`` refuses any
+    other dimension."""
+    dims = [json_int(d, "globe disk dimension") for d in disk_dims]
+    if not dims:
+        raise BadInputError("a chain needs at least one globe")
+    cells = []
+    for i, d in enumerate(dims, 1):
+        src, dst = f"a{i-1}", f"a{i}"
+        if d != 1:
+            cells.append(Cell(f"g{i}", d, src, dst))
+            continue
+        sides = [f"g{i}{side}" for side in "-+"]
+        cells += [Cell(c, 0, src, dst) for c in sides]
+        cells.append(Cell(f"g{i}", 1, src, dst,
+                          *(Step(c, (), mu(1)) for c in sides)))
+    return validate(ComplexDesc(tuple(f"a{i}" for i in range(len(dims) + 1)),
+                                tuple(cells)))
 
 
 def chain_path_space(disk_dims) -> StratumDesc:
-    """The single stratum of a chain of globes with the given disk dims."""
-    dims = tuple(int(d) for d in disk_dims)
-    if not dims:
-        raise BadInputError("a chain needs at least one globe")
-    return make_stratum(tuple(f"g{i}" for i in range(1, len(dims) + 1)), dims)
+    """The single stratum of a chain of globes with the given disk dims,
+    read off the normal form of the unit-speed run through its globes'
+    centres."""
+    cx = _chain(disk_dims)
+    globes = [cx.cell(f"g{i}") for i in range(1, len(cx.states))]
+    nf = cx.normalize(reduce(Moore, (Step(g.id, (0,) * g.disk_dim, mu(1))
+                                     for g in globes)))
+    return StratumDesc(nf.carrier(),
+                       tuple(cx.cell(c).disk_dim for c in nf.carrier()),
+                       len(nf.segs))
 
 
 def chain_complex(p: int) -> Complex:
     """The carrier skeleton of a p-chain: states a0..ap, edges g1..gp."""
-    if p < 1:
-        raise BadInputError("a chain needs at least one globe")
-    states = tuple(f"a{i}" for i in range(p + 1))
-    cells = tuple(Cell(f"g{i}", 0, f"a{i-1}", f"a{i}")
-                  for i in range(1, p + 1))
-    return validate(ComplexDesc(states, cells))
+    return _chain([0] * p)
 
 
 # ---------------------------------------------------------------------------
-# globes of free spaces: the geometric round trip
-
-
-@dataclass(frozen=True)
-class GlobeFlow:
-    """A two-state flow whose only hom is a free space."""
-
-    space: FreeGSpace
-
-
-@dataclass(frozen=True)
-class GeomGlobe:
-    """A geometric globe of some length over a finite discrete label set."""
-
-    length: Fraction
-    labels: tuple[str, ...]
-
-
-def realize_globe_flow(gf: GlobeFlow) -> GeomGlobe:
-    """The geometric globe presented by a free-space globe."""
-    return GeomGlobe(gf.space.length, gf.space.basis)
-
-
-def globe_paths(globe: GeomGlobe) -> GlobeFlow:
-    """The path presentation of a geometric globe: pairs of a rescaling onto
-    the globe's length and a label, i.e. the free space on its labels."""
-    return GlobeFlow(free(globe.length, globe.labels))
+# globes of free spaces: the round trip through parallel edges
 
 
 def globe_roundtrip(length, labels) -> dict:
-    start = GlobeFlow(free(length, labels))
-    back = globe_paths(realize_globe_flow(start))
-    return {
-        "len": format_fraction(start.space.length),
-        "basis": list(start.space.basis),
-        "ok": back == start,
-    }
+    """Realize the free space of ``length`` over ``labels`` as one edge
+    0 -> 1 per label and read it back: the classes of hom(0, 1) are the
+    one-letter words of the labels, and each label's run rescaled onto
+    the length normalizes to that length."""
+    space = free(length, labels)
+    cx = validate(ComplexDesc(("0", "1"), tuple(
+        Cell(u, 0, "0", "1") for u in space.basis)))
+    classes = fundamental_category(cx).hom("0", "1")
+    ok = classes == tuple(sorted((u,) for u in space.basis)) and all(
+        cx.normalize(Step(u, (), mu(space.length))).total_len == space.length
+        for u in space.basis)
+    return {"len": format_fraction(space.length), "basis": list(space.basis),
+            "ok": ok}
 
 
 # ---------------------------------------------------------------------------

@@ -1021,10 +1021,12 @@ def test_topological_order_runs_every_cell_forward():
 
 
 def test_complex_is_immutable():
+    # every attribute a complex has, plus its cached and computed views, so
+    # that an attribute added later is covered too
     cx = build("square")
-    for name in ("desc", "states", "loop_free", "topological_order", "_cells",
-                 "_boundaries", "_arcs", "_carrier_tables", "_verified",
-                 "fresh"):
+    names = set(vars(cx)) | {"desc", "loop_free", "topological_order"}
+    assert {"states", "_cells", "_parent_tables", "_new_cells"} <= names
+    for name in sorted(names):
         with pytest.raises(AttributeError):
             setattr(cx, name, None)
     with pytest.raises(AttributeError):

@@ -1,5 +1,6 @@
 """Source checks: soundness guards survive ``python -O``, the PL kernel and
-path layers stay integer, and the package exports what it imports."""
+path layers stay integer, the package exports what it imports, and no
+module imports a name it never uses."""
 
 import ast
 import importlib
@@ -119,6 +120,26 @@ def test_all_exports_each_public_import_once():
     assert set(exported) == public
     missing = [name for name in exported if not hasattr(dipath, name)]
     assert not missing, f"__all__ names missing from dipath: {missing}"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a deletion must not leave behind the imports only it needed; the
+    # package's own re-exports count as used through __all__
+    found = []
+    for path in sorted(Path(dipath.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used.update(dipath.__all__)
+        found += [f"{path.name}:{node.lineno} {name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for name in (a.asname or a.name.split(".")[0]
+                               for a in node.names)
+                  if name not in used]
+    assert not found, f"unused imports in dipath: {found}"
 
 
 def test_input_limits_are_decided_before_the_interpreter_guesses():

@@ -17,20 +17,15 @@ from dipath.cellcomplex import Cell, Complex, ComplexDesc, NormComp, validate
 from dipath.errors import (
     BadDimError,
     BadInputError,
+    DuplicateLabelError,
     HasLoopsError,
 )
-from dipath.gspace import free
 from dipath.mooreflow import (
-    GeomGlobe,
-    GlobeFlow,
     chain_complex,
     chain_path_space,
     counit_check,
     fundamental_category,
-    globe_paths,
     globe_roundtrip,
-    make_stratum,
-    realize_globe_flow,
 )
 from dipath.reedy import pushout_check
 from fixture_lib import CORPUS, build, edge, estep, globe
@@ -166,9 +161,13 @@ def test_chain_complex_has_single_carrier():
         assert cx.enumerate_carriers("a0", f"a{p}") == [stratum.carrier]
 
 
-def test_make_stratum_validates_arity():
-    with pytest.raises(BadInputError):
-        make_stratum(("a", "b"), (0,))
+@pytest.mark.parametrize("dim, error", [
+    (2, BadDimError), (0.5, BadInputError), (True, BadInputError),
+    ("1", BadInputError),
+])
+def test_chain_refuses_non_int_and_out_of_range_dimensions(dim, error):
+    with pytest.raises(error):
+        chain_path_space([0, dim])
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +182,24 @@ def test_globe_roundtrip_examples():
     assert globe_roundtrip(1, ["x", "y"])["ok"]
     report = globe_roundtrip(F(3, 2), ["a", "b", "c"])
     assert report["ok"] and report["len"] == "3/2"
+    assert globe_roundtrip(1, []) == {"len": "1", "basis": [], "ok": True}
+    with pytest.raises(DuplicateLabelError):
+        globe_roundtrip(1, ["x", "y", "x"])
 
 
-def test_globe_roundtrip_pieces_compose_as_expected():
-    start = GlobeFlow(free(2, ["p", "q"]))
-    geom = realize_globe_flow(start)
-    assert geom == GeomGlobe(F(2), ("p", "q"))
-    assert globe_paths(geom) == start
+def test_globe_roundtrip_reads_the_labels_back_through_the_engine(
+        monkeypatch):
+    # the round trip fails when the fundamental category loses a class
+    real = fundamental_category
+
+    def drop_a_class(cx):
+        fp = real(cx)
+        fp.homs = {ab: words[1:] if len(words) > 1 else words
+                   for ab, words in fp.homs.items()}
+        return fp
+
+    monkeypatch.setattr("dipath.mooreflow.fundamental_category", drop_a_class)
+    assert not globe_roundtrip(1, ["x", "y"])["ok"]
 
 
 # ---------------------------------------------------------------------------

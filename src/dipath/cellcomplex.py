@@ -17,6 +17,7 @@ attached boundary path, so equal paths always share one representation.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -503,14 +504,23 @@ class Complex:
         pair; pairs without carriers are absent.  Computed once per bound by
         :meth:`_grow`: from the parent's table, seeded by the new cells, when
         :meth:`extend` made the complex from one that has it, else from no
-        table, seeded by every cell.  The complex is immutable, so the table
-        is cached and shared, read-only, by every caller."""
+        table, seeded by every cell; new pairs are inserted among the old.
+        Immutable, the complex caches the table and shares it read-only."""
         self._refuse(bound)
         if bound not in self._carrier_tables:
-            parent = self._parent_tables.get(bound)
-            self._carrier_tables[bound] = MappingProxyType(
-                self._grow({}, self._cells.values(), bound) if parent is None
-                else self._grow(parent, self._new_cells, bound))
+            parent, cells = self._parent_tables.get(bound), self._new_cells
+            if parent is None:
+                parent, cells = {}, self._cells.values()
+            found = self._grow(parent, cells, bound)
+            index = {s: i for i, s in enumerate(self.states)}
+            rank = lambda p: (index[p[0]], index[p[1]])  # noqa: E731
+            keys, at = list(parent), 0
+            for p in sorted(found.keys() - parent.keys(), key=rank):
+                at = bisect(keys, rank(p), at, key=rank)
+                keys.insert(at, p)
+            self._carrier_tables[bound] = MappingProxyType({
+                p: tuple(sorted((*parent.get(p, ()), *found[p])))
+                if p in found else parent[p] for p in keys})
         return self._carrier_tables[bound]
 
     def _refuse(self, bound: Optional[int], *states: str) -> None:
@@ -526,13 +536,12 @@ class Complex:
                 "complex has loops: pass an explicit carrier bound")
 
     def _grow(self, parent: Mapping, cells, bound: Optional[int]) -> dict:
-        """``parent``, a table of ``bound``, plus the words that, split at
-        their first cell c among ``cells``, are a word of ``parent`` ending at
-        c's source or none, then c, then any word.  Seeded by a child's new
-        cells it grows the parent's table; from no table and every cell it
-        lists each word once, under its first cell; from no table and one
-        state's arcs, that state's words.  Only pairs that gain words are
-        sorted; the rest share the parent's tuples."""
+        """The words that ``parent``, a table of ``bound``, lacks, grouped by
+        pair, unsorted: split at their first cell c among ``cells``, a word
+        of ``parent`` ending at c's source or none, then c, then any word.
+        Seeded by a child's new cells they grow the parent's table; from no
+        table, by every cell, they are every word once; by one state's arcs,
+        that state's words."""
         stack = []
         for c in cells:
             for a, w in [(c.src, ()), *((a, w) for (a, b), ws in parent.items()
@@ -546,23 +555,17 @@ class Complex:
             if bound is None or len(word) < bound:
                 for cell in self._arcs[state]:
                     stack.append((src, cell.dst, word + (cell.id,)))
-        table = {**parent, **{p: tuple(sorted((*parent.get(p, ()), *words)))
-                              for p, words in found.items()}}
-        if len(table) > len(parent):  # new pairs: back into state order
-            rank = {s: i for i, s in enumerate(self.states)}
-            table = {p: table[p] for p in sorted(
-                table, key=lambda p: (rank[p[0]], rank[p[1]]))}
-        return table
+        return found
 
     def enumerate_carriers(self, src: str, dst: str,
                            max_len: Optional[int] = None) -> list[tuple[str, ...]]:
         """All cell words realizable as carriers of paths src -> dst, in
         sorted order.  ``max_len`` is required when the complex has
         directed cycles.  One :meth:`_grow` from no table, seeded by the
-        arcs out of ``src``: no carrier table is read or built."""
+        arcs out of ``src``, reads no table and sorts only the asked pair."""
         self._refuse(max_len, src, dst)
         found = self._grow({}, self._arcs[src], max_len)
-        return list(found.get((src, dst), ()))
+        return sorted(found.get((src, dst), ()))
 
 
 def validate(desc: ComplexDesc) -> Complex:

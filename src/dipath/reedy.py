@@ -314,7 +314,7 @@ def pushout_complex(base: Complex, cell: Cell) -> Complex:
 
 
 def realize(elem: ReedyElem, pushout: Complex, cell_id: str) -> NormalPath:
-    """The concatenated path of X named by the element's slots.
+    """The concatenated path of X named by the element's slots, in one shot.
 
     Base paths are normal forms already, so each is only checked against
     the pushout; a pass through the cell is normalized, which resolves a
@@ -341,8 +341,8 @@ class WitnessPaths:
     shared: one unit-speed ``Seg`` through the centre of each cell, and per
     run word its flag-0 slot, the pair ``((a, 0, b), APath(path))``.  One
     instance serves every step of :func:`pushout_steps`, so a run's slot is
-    the same objects in every shape and step that use it; each witness
-    holding it still checks it."""
+    the same objects in every shape and step that use it; each step checks
+    it once, however many of its witnesses hold it."""
 
     def __init__(self, cells):
         self._units = {c.id: Seg(c.id, (_ZERO,) * c.disk_dim, _UNIT)
@@ -358,51 +358,75 @@ class WitnessPaths:
         return slot
 
 
-def _shapes(base: Complex, cell: Cell, bound: int, paths: WitnessPaths,
-            through: CellPath):
+def _shapes(base: Complex, pushout: Complex, cell: Cell, bound: int,
+            paths: WitnessPaths, fresh):
     """Carrier words of the pushout generated from simplified shapes, each
-    with the slots of its witness element.
+    with its witness element and that element's realization in ``pushout``.
 
     A shape is a0 [cell] a1 [cell] ... [cell] ak where each run a_i is an
     A-carrier (possibly empty when its endpoints coincide) and no two runs
-    are adjacent.  The shapes with k >= 1 passes are yielded as (word,
-    triples, entries) by k: a nonempty run is the slot ``paths`` hands out
-    for its word, an empty run holds no slot, and a pass holds ``through``.
-    A last run ends at its start or at a state in its row of the table.  The
-    k=0 shapes, single runs of the base, are not yielded: their words are
-    the base's carriers, which :func:`pushout_steps` takes as they are.
-    """
+    are adjacent.  The shapes with k >= 1 passes are yielded by k: a
+    nonempty run is the slot ``paths`` hands out for its word, an empty run
+    holds no slot, and a pass holds the cell's centre.  A last run ends at
+    its start or at a state in its row of the table.  The k=0 shapes,
+    single runs of the base, are not yielded.  Each part is checked once: a
+    slot (``fresh`` runs (word, a, b) first) on both complexes and against
+    its triple, the pass as :func:`make_elem` checks it, then normalized.
+    A realization is its prefix's, ``concat`` with one part (or none), whose
+    check that they meet chains the triples."""
     table = base.carrier_table(bound)
     rows = {a: {a: None} for a in base.states}
     for a, b in table:
         rows[a][b] = None
     u, v = cell.src, cell.dst
+    slots = {}
+
+    def slot(word: tuple[str, ...], a: str, b: str):
+        if word not in slots:
+            triple, entry = paths.slot(word, a, b)
+            path = pushout.check_normal_path(base.check_normal_path(entry.path))
+            if triple != (path.start, 0, path.end):
+                raise EndpointMismatchError(
+                    f"slot {triple} holds {path.start}->{path.end}")
+            slots[word] = (triple,), (entry,), path
+        return slots[word]
+
+    for run in fresh:
+        slot(*run)
+    through = CellPath((_ZERO,) * cell.disk_dim, _UNIT)
     pass_t, pass_e = ((u, 1, v),), (through,)
+    make_elem(ReedyObj(u, v, pass_t), pass_e, base)
+    passed = pushout.normalize(Step(cell.id, through.z, through.chi))
 
     def runs(a: str, b: str, budget: int):
-        # every run a -> b within the budget, the empty one included
+        # every run a -> b within the budget, the empty one (no path) too
         if a == b and budget >= 0:
-            yield (), (), ()
+            yield (), (), (), None
         for word in table.get((a, b), ()):
             if len(word) <= budget:
-                triple, entry = paths.slot(word, a, b)
-                yield word, (triple,), (entry,)
+                yield word, *slot(word, a, b)
+
+    def join(r, part):
+        # a realization so far (None: no part yet) and one more part
+        return r if part is None else part if r is None else concat(r, part)
 
     def passes(ends):
         # the cuts one pass further on
         return [(v, rest - len(run) - 1, w + run + (cell.id,),
-                 t + run_t + pass_t, e + run_e + pass_e)
-                for a, rest, w, t, e in ends
-                for run, run_t, run_e in runs(a, u, rest - 1)]
+                 t + run_t + pass_t, e + run_e + pass_e,
+                 join(join(r, part), passed))
+                for a, rest, w, t, e, r in ends
+                for run, run_t, run_e, part in runs(a, u, rest - 1)]
 
     # the shapes cut right after their k-th pass, for k = 1, 2, ...: the
-    # state reached, the budget left, the word and the slots so far
-    ends = passes([(start, bound, (), (), ()) for start in base.states])
+    # state reached, the budget left, the word, slots and realization so far
+    ends = passes([(a, bound, (), (), (), None) for a in base.states])
     while ends:
-        for a, rest, w, t, e in ends:
+        for a, rest, w, t, e, r in ends:
             for target in rows[a]:
-                for last, last_t, last_e in runs(a, target, rest):
-                    yield w + last, t + last_t, e + last_e
+                for last, last_t, last_e, part in runs(a, target, rest):
+                    yield (w + last, ReedyElem(ReedyObj(u, v, t + last_t),
+                                               e + last_e), join(r, part))
         ends = passes(ends)
 
 
@@ -419,16 +443,14 @@ def pushout_steps(base: Complex, cells, bound: int):
     The bound is refused once: the shapes spend it as a budget, so it is
     needed even on a loop-free base.  One ``WitnessPaths`` serves every
     step.  Each shape with k >= 1 passes through the cell is witnessed: its
-    element is built (each base slot checked against the base), tested
-    with ``is_simplified``, realized (each base slot checked against the
-    pushout) and compared by carrier.  A k=0 shape is one flag-0 slot along
-    a base carrier, which no rule touches, so it realizes to its slot path:
-    its word comes from the base's carriers, and its slot path is checked
-    against both complexes only while it is a fresh run.  ``base``'s own
-    carriers start fresh; later, the words of the step before's shapes are.
-    Both lists add to the step before's right list (first, ``base``'s
-    carriers): the left list the shapes' words, the right list the pushout's
-    own carriers through the cell.  An equal right list is the left list."""
+    element from :func:`_shapes` is tested with ``is_simplified`` and its
+    realization compared by carrier.  A k=0 shape is a base run, which no
+    rule touches and which realizes to its slot path: its word is a base
+    carrier, and its slot is checked while it is a fresh run (``base``'s
+    own carriers, later the words of the step before's shapes).  Both lists
+    add to the step before's right list: the left list the shapes' words,
+    the right list the pushout's carriers through the cell, from the pairs
+    its table replaced.  An equal right list is the left list."""
     if bound is None:
         raise BadInputError("a pushout check needs a carrier bound, got None")
     check_bound(bound)
@@ -439,20 +461,13 @@ def pushout_steps(base: Complex, cells, bound: int):
     fresh = [(w, a, b) for (a, b), ws in table.items() for w in ws]
     for cell in cells:
         pushout = pushout_complex(base, cell)
-        for word, a, b in fresh:
-            path = paths.slot(word, a, b)[1].path
-            pushout.check_normal_path(base.check_normal_path(path))
-        through = CellPath((_ZERO,) * cell.disk_dim, _UNIT)
+        shapes = _shapes(base, pushout, cell, bound, paths, fresh)
         new, fresh = [], []
-        for word, triples, entries in _shapes(base, cell, bound, paths,
-                                              through):
+        for word, elem, realized in shapes:
             new.append(word)
-            fresh.append((word, triples[0][0], triples[-1][2]))
-            elem = make_elem(make_obj(cell.src, cell.dst, triples), entries,
-                             base)
+            fresh.append((word, realized.start, realized.end))
             if not is_simplified(elem, base, cell):
                 raise EngineError(f"witness for {word} is not simplified")
-            realized = realize(elem, pushout, cell.id)
             if realized.carrier() != word:
                 raise EngineError(f"witness realization carrier "
                                   f"{realized.carrier()} != {word}")
@@ -462,9 +477,9 @@ def pushout_steps(base: Complex, cells, bound: int):
         if any(map(eq, new, islice(new, 1, None))):
             raise EngineError("shape enumeration produced duplicate carriers")
         lhs = sorted(words + new)
-        table = pushout.carrier_table(bound)
-        through = sorted(w for ws in table.values() for w in ws
-                         if cell.id in w)
+        old, table = table, pushout.carrier_table(bound)
+        through = sorted(w for p, ws in table.items() if ws is not old.get(p)
+                         for w in ws if cell.id in w)
         # equal new words make equal sides, which share one list
         bijection = new == through
         words = lhs if bijection else sorted(words + through)

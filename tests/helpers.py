@@ -426,3 +426,47 @@ def seeded_grid(rng: Random, n: int, m: int, filled: bool = True):
             cells.append(Cell(f"g{i}_{j}", 1, f"s{i}_{j}", f"s{i+1}_{j+1}",
                               boundary_minus=minus, boundary_plus=plus))
     return validate(ComplexDesc(states, tuple(cells)))
+
+
+def watch_witnesses(patch, fault=None):
+    """Hold every witness of every pushout step to its oracles: patch
+    ``reedy._shapes`` so that, before a witness goes on, the slots it holds
+    were checked against its step's base and pushout, and its realization
+    equals both the one-shot ``realize`` of its element and the unit path
+    of its word (the segments ``WitnessPaths`` makes through each cell's
+    centre); once a step's shapes are exhausted, its fresh runs were
+    checked the same way.  ``fault`` maps each realization that goes on
+    (default: as it is).  Returns the list of witnessed words."""
+    import dipath.reedy as reedy
+    from dipath.cellcomplex import Complex
+
+    words, checked, in_oracle = [], set(), False
+    check, shapes = Complex.check_normal_path, reedy._shapes
+
+    def check_spy(self, np):
+        if not in_oracle:  # the engine's own checks only
+            checked.add((id(self), id(np)))
+        return check(self, np)
+
+    def watched(base, pushout, cell, bound, paths, fresh):
+        nonlocal in_oracle
+        checked.clear()
+
+        def on_both(path):
+            return {(id(base), id(path)), (id(pushout), id(path))} <= checked
+
+        for word, elem, realized in shapes(base, pushout, cell, bound, paths,
+                                           fresh):
+            assert all(on_both(e.path) for e in elem.entries
+                       if isinstance(e, reedy.APath))
+            in_oracle = True
+            assert realized == reedy.realize(elem, pushout, cell.id)
+            in_oracle = False
+            assert realized == unit_path(pushout, word)
+            words.append(word)
+            yield word, elem, realized if fault is None else fault(realized)
+        assert all(on_both(paths.slot(*run)[1].path) for run in fresh)
+
+    patch.setattr(Complex, "check_normal_path", check_spy)
+    patch.setattr(reedy, "_shapes", watched)
+    return words

@@ -556,7 +556,7 @@ def test_carrier_counts_match_matrix_powers():
                                for w in cx.enumerate_carriers(a, b, bound))
                 for k in range(1, bound + 1):
                     assert hist.get(k, 0) == powers[k][index[a]][index[b]]
-        # queries on a complex with no table yet (the first builds it) and
+        # queries on a complex with no table yet (each builds none) and
         # the shared table both hold, pair by pair, what the per-pair walk
         # of brute_force_carriers finds; pairs without carriers are absent
         bounds = [0, 1, bound, None] if cx.loop_free else [0, 1, bound]

@@ -816,21 +816,26 @@ def test_verification_failure_exits_one(corpus_dir, capsys, monkeypatch):
 
 def test_failed_witness_guard_exits_two(corpus_dir, capsys, monkeypatch):
     # A broken internal guard is an engine error (exit 2), not a failed
-    # verification (exit 1) and not a traceback.
-    import dipath.reedy as reedy_mod
+    # verification (exit 1) and not a traceback.  Watched, every witness of
+    # both commands meets its oracles and each exits 0; with each
+    # realization's segments doubled, each exits 2.
+    from helpers import watch_witnesses
 
-    real = reedy_mod.realize
-
-    def wrong_carrier(elem, pushout, cell_id):
-        path = real(elem, pushout, cell_id)
-        return NormalPath(path.start, path.end, path.segs * 2)
-
-    monkeypatch.setattr(reedy_mod, "realize", wrong_carrier)
-    status, out = invoke(capsys, "pushout-check",
-                         str(corpus_dir / "triangle.json"),
-                         "--cell", "t", "--bound", "4")
-    assert status == 2
-    assert json.loads(out)["error"] == "engine_error"
+    commands = [
+        ["counit-check", str(corpus_dir / "double_globe.json"), "--bound", "3"],
+        ["pushout-check", str(corpus_dir / "triangle.json"), "--cell", "t",
+         "--bound", "4"]]
+    with monkeypatch.context() as patch:
+        words = watch_witnesses(patch)
+        for args in commands:
+            assert invoke(capsys, *args)[0] == 0
+        assert words
+    watch_witnesses(monkeypatch, fault=lambda path: NormalPath(
+        path.start, path.end, path.segs * 2))
+    for args in commands:
+        status, out = invoke(capsys, *args)
+        assert status == 2
+        assert json.loads(out)["error"] == "engine_error"
 
 
 def test_duplicate_carriers_are_an_engine_error(corpus_dir, capsys,

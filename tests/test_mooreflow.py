@@ -300,49 +300,91 @@ def test_counit_steps_equal_stand_alone_pushout_checks(source):
             assert step == pushout_check(base, cell, bound)
 
 
-def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
-    # every shape a step adds (k >= 1 passes through its cell) is built,
-    # tested, realized and compared; a k=0 shape, a single base run that
-    # realizes to itself and was witnessed at the step attaching its last
-    # cell, is not rebuilt, but its slot path is still checked.  Every base
-    # slot is checked against both complexes of its step
-    from random import Random
-
+def spy_steps(patch):
+    """Log, per pushout step, its base and pushout, the elements tested
+    with ``is_simplified``, the slots ``WitnessPaths.slot`` hands out, and
+    every ``normalize`` and ``check_normal_path`` call made while it runs,
+    with the complex that made it."""
     import dipath.reedy as reedy
-    from dipath.cellcomplex import Complex
-    from helpers import rand_loopfree_complex
 
     log = []
-    pushout_complex, realize = reedy.pushout_complex, reedy.realize
-    is_simplified, check = reedy.is_simplified, Complex.check_normal_path
+    attach, simplified = reedy.pushout_complex, reedy.is_simplified
+    slot = reedy.WitnessPaths.slot
+    normalize, check = Complex.normalize, Complex.check_normal_path
 
     def step_spy(base, cell):
-        pushout = pushout_complex(base, cell)
-        log.append({"base": base, "pushout": pushout, "simplified": 0,
-                    "realized": 0, "slots": 0, "on_base": 0, "on_pushout": 0})
-        return pushout
+        log.append({"base": base, "cell": cell, "elems": [], "handed": [],
+                    "normalized": [], "checked": []})
+        log[-1]["pushout"] = attach(base, cell)
+        return log[-1]["pushout"]
 
     def simplified_spy(elem, base, cell):
-        log[-1]["simplified"] += 1
-        return is_simplified(elem, base, cell)
+        log[-1]["elems"].append(elem)
+        return simplified(elem, base, cell)
 
-    def realize_spy(elem, pushout, cell_id):
-        log[-1]["realized"] += 1
-        log[-1]["slots"] += sum(isinstance(e, reedy.APath)
-                                for e in elem.entries)
-        return realize(elem, pushout, cell_id)
+    def slot_spy(self, word, a, b):
+        handed = slot(self, word, a, b)
+        log[-1]["handed"].append((word, handed[1]))
+        return handed
+
+    def normalize_spy(self, expr):
+        if log:
+            log[-1]["normalized"].append((self, expr))
+        return normalize(self, expr)
 
     def check_spy(self, np):
-        if log and self is log[-1]["base"]:
-            log[-1]["on_base"] += 1
-        elif log and self is log[-1]["pushout"]:
-            log[-1]["on_pushout"] += 1
+        if log:
+            log[-1]["checked"].append((self, np))
         return check(self, np)
 
-    monkeypatch.setattr(reedy, "pushout_complex", step_spy)
-    monkeypatch.setattr(reedy, "is_simplified", simplified_spy)
-    monkeypatch.setattr(reedy, "realize", realize_spy)
-    monkeypatch.setattr(Complex, "check_normal_path", check_spy)
+    patch.setattr(reedy, "pushout_complex", step_spy)
+    patch.setattr(reedy, "is_simplified", simplified_spy)
+    patch.setattr(reedy.WitnessPaths, "slot", slot_spy)
+    patch.setattr(Complex, "normalize", normalize_spy)
+    patch.setattr(Complex, "check_normal_path", check_spy)
+    return log
+
+
+def assert_step_work(seen, fresh):
+    """One pushout step did its work once: ``normalize`` ran on the pushout
+    only, for the new cell's two boundaries when it is a globe and then for
+    the pass through its centre; ``WitnessPaths.slot`` handed out each word
+    once, exactly the ``fresh`` runs and the runs its witnesses hold; and
+    each slot handed out was checked once against the base and once
+    against the pushout, and nothing else was checked."""
+    import dipath.reedy as reedy
+    from dipath.cellcomplex import Step
+    from dipath.reparam import mu
+
+    base, pushout, cell = seen["base"], seen["pushout"], seen["cell"]
+    sides = ([cell.boundary_minus, cell.boundary_plus] if cell.disk_dim
+             else [])
+    assert [(x is pushout, e) for x, e in seen["normalized"]] == [
+        (True, e) for e in sides + [Step(cell.id, (F(0),) * cell.disk_dim,
+                                         mu(1))]]
+    held = {e.path.carrier() for elem in seen["elems"] for e in elem.entries
+            if isinstance(e, reedy.APath)}
+    words = [w for w, _ in seen["handed"]]
+    assert len(set(words)) == len(words)
+    assert set(words) == set(fresh) | held
+    paths = [id(entry.path) for _, entry in seen["handed"]]
+    checked = [(x is base, x is pushout, id(np)) for x, np in seen["checked"]]
+    assert checked == [(on_base, not on_base, p) for p in paths
+                       for on_base in (True, False)]
+
+
+def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
+    # every shape a step adds (k >= 1 passes through its cell) is built and
+    # tested; a k=0 shape, a single base run that realizes to itself and was
+    # witnessed at the step attaching its last cell, is not rebuilt, but its
+    # slot path is still checked while it is fresh.  Each step normalizes
+    # one pass and checks each slot it hands out once on each complex,
+    # however many of its witnesses hold it
+    from random import Random
+
+    from helpers import rand_loopfree_complex
+
+    log = spy_steps(monkeypatch)
     rng = Random(8)
     complexes = [build(name) for name in ("square", "grid21", "stacked_globe",
                                           "double_globe", "loop_heavy")]
@@ -351,16 +393,14 @@ def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
         log.clear()
         report = counit_check(cx, 5)
         assert report["ok"] and len(log) == len(report["steps"])
+        fresh = []
         for step, seen in zip(report["steps"], log):
             assert seen["pushout"].desc.cells == (
                 seen["base"].desc.cells + (cx.cell(step["cell"]),))
-            new = sum(step["cell"] in w for w in step["lhs_carriers"])
-            last = [c.id for c in seen["base"].desc.cells[-1:]]
-            fresh = sum(step["cell"] not in w and any(c in w for c in last)
-                        for w in step["lhs_carriers"])
-            assert seen["simplified"] == seen["realized"] == new
-            assert seen["on_base"] == seen["on_pushout"] == (
-                seen["slots"] + fresh)
+            new = [w for w in step["lhs_carriers"] if step["cell"] in w]
+            assert len(seen["elems"]) == len(new)
+            assert_step_work(seen, fresh)
+            fresh = new
         # the pushout of each step is the base of the next
         for prev, nxt in zip(log, log[1:]):
             assert nxt["base"] is prev["pushout"]
@@ -369,60 +409,68 @@ def test_counit_check_witnesses_every_shape_at_every_step(monkeypatch):
 @pytest.mark.parametrize("source", sorted(CORPUS) + list(range(6)))
 def test_pushout_check_alone_witnesses_every_shape(monkeypatch, source):
     # the stand-alone check is one counit step whose carried words are the
-    # base's carriers: on every prefix it builds, tests and realizes a
-    # witness for every shape through the cell (k >= 1), and checks the
-    # slot path of every base word once against each of its two complexes,
-    # on top of the checks each witness makes of its own slots
-    from collections import Counter
-
-    import dipath.reedy as reedy
-
+    # base's carriers, all of them fresh: on every prefix it builds and
+    # tests a witness for every shape through the cell (k >= 1), normalizes
+    # one pass and checks the slot of every base word once against each of
+    # its two complexes, whether or not witnesses hold it
     cx = (build(source) if isinstance(source, str)
           else rand_loopfree_complex(Random(source)))
     cells = cx.desc.cells
-    seen = {}
-    is_simplified, realize = reedy.is_simplified, reedy.realize
-    attach, check = reedy.pushout_complex, Complex.check_normal_path
-
-    def simplified_spy(elem, base, cell):
-        seen["simplified"] += 1
-        return is_simplified(elem, base, cell)
-
-    def realize_spy(elem, pushout, cell_id):
-        seen["realized"] += 1
-        seen["slots"].update(e.path.carrier() for e in elem.entries
-                             if isinstance(e, reedy.APath))
-        return realize(elem, pushout, cell_id)
-
-    def attach_spy(base, cell):
-        seen["pushout"] = attach(base, cell)
-        return seen["pushout"]
-
-    def check_spy(self, np):
-        side = ("on_base" if self is seen["base"] else
-                "on_pushout" if self is seen.get("pushout") else "elsewhere")
-        seen[side][np.carrier()] += 1
-        return check(self, np)
-
-    monkeypatch.setattr(reedy, "is_simplified", simplified_spy)
-    monkeypatch.setattr(reedy, "realize", realize_spy)
-    monkeypatch.setattr(reedy, "pushout_complex", attach_spy)
-    monkeypatch.setattr(Complex, "check_normal_path", check_spy)
+    log = spy_steps(monkeypatch)
     for i, cell in enumerate(cells):
         base = validate(ComplexDesc(cx.states, cells[:i]))
-        seen.update(simplified=0, realized=0, slots=Counter(), base=base,
-                    on_base=Counter(), on_pushout=Counter(),
-                    elsewhere=Counter())
-        seen.pop("pushout", None)
+        log.clear()
         report = pushout_check(base, cell, 5)
         shapes = report["lhs_carriers"]
-        runs = Counter(w for ws in base.carrier_table(5).values() for w in ws)
+        runs = [w for ws in base.carrier_table(5).values() for w in ws]
         assert report["bijection"]
-        assert seen["simplified"] == seen["realized"] == sum(
-            cell.id in w for w in shapes)
+        (seen,) = log
+        assert seen["base"] is base
+        assert len(seen["elems"]) == sum(cell.id in w for w in shapes)
         assert sorted(runs) == [w for w in shapes if cell.id not in w]
-        assert seen["on_base"] == seen["on_pushout"] == seen["slots"] + runs
-        assert not seen["elsewhere"]
+        assert_step_work(seen, runs)
+
+
+def test_counit_work_on_a_grid_is_pinned(monkeypatch):
+    # exact counts, no timing: the 3x3 grid at bound 6 attaches 24 edges
+    # and 9 globes, so its check normalizes 33 passes and 18 boundaries, and
+    # it hands out 633 slots over its steps, each checked on both complexes.
+    # Normalizing each witness's pass and checking each witness's slots
+    # made these 410 and 1,572
+    from helpers import seeded_grid
+
+    cx = seeded_grid(Random("grid:7:0"), 3, 3)
+    log = spy_steps(monkeypatch)
+    report = counit_check(cx, 6)
+    assert report["ok"] and len(log) == len(cx.desc.cells) == 33
+    fresh = []
+    for step, seen in zip(report["steps"], log):
+        assert_step_work(seen, fresh)
+        fresh = [w for w in step["lhs_carriers"] if step["cell"] in w]
+    assert sum(len(seen["normalized"]) for seen in log) == 51
+    assert sum(len(seen["handed"]) for seen in log) == 633
+    assert sum(len(seen["checked"]) for seen in log) == 1266
+    assert sum(len(seen["elems"]) for seen in log) == 392
+
+
+def test_incremental_witness_realizations_equal_their_oracles(monkeypatch):
+    # each witness is realized from its prefix's realization and one more
+    # part; on the corpus (loop_heavy under its bound) and on random
+    # complexes it equals the one-shot realize and the unit path of its word
+    from helpers import watch_witnesses
+
+    rng = Random(31)
+    complexes = [build(name) for name in sorted(CORPUS)]
+    complexes += [rand_loopfree_complex(rng) for _ in range(8)]
+    words = watch_witnesses(monkeypatch)
+    for cx in complexes:
+        for bound in (1, 3, 5):
+            words.clear()
+            report = counit_check(cx, bound)
+            assert report["ok"]
+            assert sorted(words) == sorted(
+                w for step in report["steps"] for w in step["lhs_carriers"]
+                if step["cell"] in w)
 
 
 @settings(max_examples=40, deadline=None, database=None)

@@ -42,6 +42,7 @@ from dipath.reedy import (
     normalize_elem,
     pushout_check,
     pushout_complex,
+    pushout_steps,
     realize,
 )
 from dipath.reparam import make_pl, mu
@@ -442,14 +443,22 @@ def test_pushout_check_globe_fill():
 
 def test_wrong_witness_carrier_raises_engine_error(monkeypatch):
     # The witness guards are raises, so python -O keeps them and the CLI
-    # reports them as engine errors.
-    import dipath.reedy as reedy_mod
+    # reports them as engine errors.  Watched, every witness the steps of
+    # the double globe build meets its oracles; with each realization's
+    # segments doubled, the first witness trips the carrier guard.
+    from helpers import watch_witnesses
 
-    base = validate(ComplexDesc(("0", "1"), (edge("e", "0", "1"),)))
-    wrong = NormalPath("0", "1", (Seg("e", (), mu(1)),) * 2)
-    monkeypatch.setattr(reedy_mod, "realize", lambda elem, px, cid: wrong)
+    cx = validate(double_globe_desc())
+    empty = validate(ComplexDesc(cx.states, ()))
+    with monkeypatch.context() as patch:
+        words = watch_witnesses(patch)
+        assert all(step["bijection"] for step in pushout_steps(
+            empty, cx.desc.cells, 3))
+        assert len(words) == 15
+    watch_witnesses(monkeypatch, fault=lambda path: NormalPath(
+        path.start, path.end, path.segs * 2))
     with pytest.raises(EngineError, match="witness realization carrier"):
-        pushout_check(base, edge("f", "0", "1"), 2)
+        list(pushout_steps(empty, cx.desc.cells, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -207,16 +207,6 @@ def check_bound(bound: Optional[int]) -> None:
         raise BadInputError(f"carrier bound must be >= 0, got {bound}")
 
 
-def _expr_cells(expr: PathExpr) -> set[str]:
-    if isinstance(expr, Step):
-        return {expr.cell}
-    if isinstance(expr, (Moore, NormComp)):
-        return _expr_cells(expr.left) | _expr_cells(expr.right)
-    if isinstance(expr, Repar):
-        return _expr_cells(expr.path)
-    raise BadInputError(f"not a path expression: {expr!r}")
-
-
 class Complex:
     """A validated complex together with its path operations.
 
@@ -276,12 +266,12 @@ class Complex:
 
         The child copies the parent's cell, boundary and arc tables once
         (sharing their immutable values), then admits each new cell against
-        the cells before it, parent's and new: its id and states, and for a
-        globe its two boundary paths, normalized there.  Each source state
-        that gained cells then gets one new arc tuple, sorted by id.  After
-        that the child is never written again, and it starts with empty
-        caches.  It keeps the parent's table cache and its new cells, not
-        the parent, so that its carrier tables grow from the parent's."""
+        the cells before it, parent's and new: its id, then :meth:`_admit`;
+        the first fault in that order raises.  Each source state that gained
+        cells then gets one new arc tuple, sorted by id.  After that the
+        child is never written again, and it starts with empty caches.  It
+        keeps the parent's table cache and its new cells, not the parent,
+        so that its carrier tables grow from the parent's."""
         child = Complex(self.states)
         vars(child).update(_parent_tables=self._carrier_tables,
                            _new_cells=cells)
@@ -306,7 +296,9 @@ class Complex:
 
     def _admit(self, cell: Cell) -> Optional[tuple[NormalPath, NormalPath]]:
         """Check ``cell`` against this complex and return a globe's two
-        boundary normal forms (None for an edge)."""
+        boundary normal forms (None for an edge): its states, its dimension,
+        then each boundary, normalized here, so that the fold's first fault
+        raises and a cell not attached before it is a forward reference."""
         if cell.src not in self._arcs:
             raise UnknownStateError(f"cell {cell.id}: unknown state {cell.src}")
         if cell.dst not in self._arcs:
@@ -324,12 +316,12 @@ class Complex:
         nfs = []
         for side, expr in (("-", cell.boundary_minus),
                            ("+", cell.boundary_plus)):
-            bad = {c for c in _expr_cells(expr) if c not in self._cells}
-            if bad:
+            try:
+                nf = self.normalize(expr)
+            except UnknownCellError as exc:
                 raise ForwardReferenceError(
-                    f"boundary {side} of {cell.id} uses cells attached later "
-                    f"or unknown: {sorted(bad)}")
-            nf = self.normalize(expr)
+                    f"boundary {side} of {cell.id} uses a cell not attached "
+                    f"before it: {exc.detail}") from None
             if (length := _span(nf)) != (1, 1):
                 raise BadLengthError(
                     f"boundary {side} of {cell.id} must have length 1, "
@@ -570,21 +562,10 @@ class Complex:
 
 def validate(desc: ComplexDesc) -> Complex:
     """Check every structural invariant and return the usable complex: one
-    :meth:`Complex.extend` of :func:`empty_complex` attaches the cells, each
-    admitted against the cells before it, in time linear in ``desc`` up to
-    one sort of each state's arcs."""
-    return empty_complex(desc).extend(*desc.cells)
-
-
-def empty_complex(desc: ComplexDesc) -> Complex:
-    """The complex of ``desc``'s states with no cells, once its state names
-    and then its cell ids are known distinct, so that a repeated id is
-    refused before any cell is admitted."""
-    empty = Complex(desc.states)
-    ids = [c.id for c in desc.cells]
-    if len(set(ids)) != len(ids):
-        raise UnknownCellError("cell ids must be distinct")
-    return empty
+    :meth:`Complex.extend` of the complex with no cells admits the cells in
+    order, so the first fault in attachment order raises, in time linear in
+    ``desc`` up to one sort of each state's arcs."""
+    return Complex(desc.states).extend(*desc.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +584,8 @@ def expr_to_json(expr: PathExpr) -> dict:
     if isinstance(expr, Repar):
         return {"repar": {"path": expr_to_json(expr.path),
                           "phi": expr.phi.to_json()}}
+    if isinstance(expr, NormalPath):
+        return expr_to_json(np_to_expr(expr))
     raise BadInputError(f"not a path expression: {expr!r}")
 
 

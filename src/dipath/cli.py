@@ -16,10 +16,10 @@ import sys
 from itertools import accumulate
 
 from .cellcomplex import (
+    Complex,
     Moore,
     NormComp,
     complex_from_json,
-    empty_complex,
     expr_from_json,
     normal_path_to_json,
     validate,
@@ -59,13 +59,13 @@ def _load_complex(path: str):
 
 def _split_at_cell(path: str, cell_id: str):
     """The base complex before the named cell, plus the cell itself.  The
-    whole complex is validated as by :func:`_load_complex`: the base is
-    built first, and the rest of the cells are then admitted on top of it,
+    whole complex is validated as by :func:`_load_complex`, in its order:
+    the base's cells are admitted first and then the rest on top of them,
     so an unknown cell is reported only once every cell has passed."""
     desc = complex_from_json(_load_json(path))
     ids = [c.id for c in desc.cells]
     index = ids.index(cell_id) if cell_id in ids else len(ids)
-    base = empty_complex(desc).extend(*desc.cells[:index])
+    base = Complex(desc.states).extend(*desc.cells[:index])
     base.extend(*desc.cells[index:])
     if index == len(ids):
         raise UnknownCellError(f"unknown cell {cell_id}")

@@ -4,15 +4,8 @@ import pytest
 
 from dipath.cellcomplex import NormComp, complex_to_json, expr_to_json, validate
 from dipath.reedy import APath, elem_to_json, make_elem, make_obj
-from dipath.reparam import mu
-from dipath.cellcomplex import NormalPath, Seg
 from fixture_lib import CORPUS, estep
-
-
-def _unit_path(cx, word):
-    segs = tuple(Seg(cid, (0,) * cx.cell(cid).disk_dim if cx.cell(cid).disk_dim else (), mu(1))
-                 for cid in word)
-    return NormalPath(cx.cell(word[0]).src, cx.cell(word[-1]).dst, segs)
+from helpers import unit_path
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +32,7 @@ def corpus_dir(tmp_path_factory):
     base = validate(type(tri)(tri.states, tri.cells[:3]))
     elem = make_elem(
         make_obj("al", "ga", [("al", 0, "be"), ("be", 0, "ga")]),
-        [APath(_unit_path(base, ("a",))), APath(_unit_path(base, ("b",)))],
+        [APath(unit_path(base, ("a",))), APath(unit_path(base, ("b",)))],
         base)
     (root / "elem_two_runs.json").write_text(
         json.dumps(elem_to_json(elem), sort_keys=True, indent=2),

@@ -141,6 +141,39 @@ def test_validate_boundary_must_have_length_one():
         validate(desc)
 
 
+def test_a_forward_reference_names_the_first_missing_cell_in_fold_order():
+    # x and y both come later; the fold meets x first
+    later = ComplexDesc(("0", "1"), (
+        edge("em", "0", "1"),
+        globe("g", "0", "1", estep("em"), NormComp(estep("x"), estep("y"))),
+        edge("x", "0", "1"),
+    ))
+    with pytest.raises(ForwardReferenceError) as info:
+        validate(later)
+    assert info.value.detail == ("boundary + of g uses a cell not attached "
+                                 "before it: unknown cell x")
+    # a fault the fold meets before the later cell is the one reported
+    arity = ComplexDesc(("0", "1"), (
+        edge("em", "0", "1"),
+        globe("g", "0", "1", Moore(gstep("em", 0), estep("x")), estep("em")),
+    ))
+    with pytest.raises(BadDimError) as info:
+        validate(arity)
+    assert info.value.detail == ("step in em: point has 1 coordinates, cell "
+                                 "disk dimension is 0")
+
+
+def test_library_only_refusals():
+    with pytest.raises(BadDimError) as info:
+        build("square").boundary_normal("a")
+    assert (info.value.code, info.value.detail) == (
+        "bad_dim", "cell a has no boundary paths")
+    with pytest.raises(BadInputError) as info:
+        expr_to_json("a")
+    assert (info.value.code, info.value.detail) == (
+        "bad_input", "not a path expression: 'a'")
+
+
 def test_loop_detection():
     assert not validate(loop_desc()).loop_free
     assert validate(chain_desc(3)).loop_free
@@ -815,6 +848,25 @@ def test_complex_json_roundtrip():
     assert complex_from_json(complex_to_json(desc)) == desc
 
 
+def test_a_globe_bounded_by_normal_paths_is_admitted_and_written_back():
+    # a boundary that is a normal form, or holds one, is a path expression
+    # that normalize reads; expr_to_json writes it as its chain of steps
+    edges = square_desc(False)
+    cx = validate(edges)
+    minus = cx.normalize(NormComp(estep("a"), estep("b")))
+    plus = cx.normalize(NormComp(estep("c"), estep("d")))
+    nested = NormComp(cx.normalize(estep("a")), estep("b"))
+    desc = ComplexDesc(edges.states, edges.cells + (
+        globe("sq", "bot", "top", minus, plus),
+        globe("sq2", "bot", "top", nested, Repar(plus, identity(1)))))
+    for built in (validate(desc), validate(complex_from_json(
+            complex_to_json(desc)))):
+        assert built.boundary_normal("sq") == (minus, plus)
+        assert built.boundary_normal("sq2") == (minus, plus)
+        assert built.normalize(gstep("sq", -1)) == minus
+        assert built.normalize(gstep("sq", 1)) == plus
+
+
 def test_normal_path_json_roundtrip():
     cx = build("square")
     nf = cx.normalize(NormComp(estep("a"), estep("b")))
@@ -906,6 +958,10 @@ def malformed_descs():
     yield ComplexDesc(tri.states, (fill,) + tri.cells[:3])
     yield ComplexDesc(tri.states, tri.cells[:3] + (
         globe("t", "al", "be", fill.boundary_minus, fill.boundary_plus),))
+    # the globe's fault comes before the repeated id in attachment order
+    yield ComplexDesc(tri.states, tri.cells[:3] + (
+        globe("t", "al", "be", fill.boundary_minus, fill.boundary_plus),
+        edge("a", "al", "be")))
     yield ComplexDesc(tri.states, tri.cells[:3] + (
         globe("t", "al", "ga", Moore(estep("a"), estep("b")), estep("e")),))
     yield ComplexDesc(tri.states, tri.cells[:3] + (

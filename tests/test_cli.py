@@ -370,6 +370,105 @@ def test_concatenations_take_exactly_two_operands(corpus_dir, tmp_path, capsys,
         "detail": f"{kind} takes two operands, got {count}"}
 
 
+def _edit_two_runs(corpus_dir, edit):
+    """elem_two_runs.json, over the triangle's edges, changed by ``edit``."""
+    elem = json.loads((corpus_dir / "elem_two_runs.json").read_text())
+    edit(elem)
+    return elem
+
+
+def _one_pass(entry):
+    # the element of one flag-1 slot al -> ga holding ``entry``
+    return lambda elem: elem.update(triples=[["al", 1, "ga"]],
+                                    entries=[entry])
+
+
+# (command, input, code, detail): a normalize input is a path on the
+# square, a validate input a complex, and a reedy-normalize input an edit
+# of elem_two_runs.json, normalized at the triangle's globe t
+REFUSALS = {
+    "expr_missing_key": (
+        "normalize", {"step": {"z": [], "chi": UNIT_LAW}}, "bad_input",
+        "malformed path expression: 'cell'"),
+    "expr_wrong_type": (
+        "normalize", {"repar": 5}, "bad_input",
+        "malformed path expression: 'int' object is not subscriptable"),
+    "pl_missing_key": (
+        "normalize", {"step": {"cell": "a", "z": [], "chi": {
+            "src": "1", "breaks": []}}}, "bad_input",
+        "malformed PL map: 'dst'"),
+    "pl_three_entry_break": (
+        "normalize", {"step": {"cell": "a", "z": [], "chi": dict(
+            UNIT_LAW, breaks=[["0", "0", "0"], ["1", "1"]])}}, "bad_input",
+        "malformed PL map: too many values to unpack (expected 2)"),
+    "cell_missing_key": (
+        "validate", {"states": ["0", "1"], "cells": [
+            {"id": "e", "dim": 0, "from": "0"}]}, "bad_input",
+        "malformed cell: 'to'"),
+    "complex_missing_key": (
+        "validate", {"cells": []}, "bad_input",
+        "malformed complex: 'states'"),
+    "complex_wrong_type": (
+        "validate", [], "bad_input",
+        "malformed complex: list indices must be integers or slices, not str"),
+    "normal_path_missing_key": (
+        "reedy-normalize", lambda e: e["entries"][0]["path"].pop("from"),
+        "bad_input", "malformed normal path: 'from'"),
+    "segment_length": (
+        "reedy-normalize",
+        lambda e: e["entries"][0]["path"]["segs"][0].update(len="2"),
+        "bad_input", "segment length disagrees with time law"),
+    "path_endpoints": (
+        "reedy-normalize", lambda e: e["entries"][0]["path"].update(to="ga"),
+        "endpoint_mismatch", "endpoint states do not match segments"),
+    "element_missing_key": (
+        "reedy-normalize", lambda e: e.pop("entries"), "bad_input",
+        "malformed element: 'entries'"),
+    "cell_path_missing_key": (
+        "reedy-normalize", _one_pass({"cellpath": {"z": []}}), "bad_input",
+        "malformed cell path: 'chi'"),
+    "cell_point_arity": (
+        "reedy-normalize",
+        _one_pass({"cellpath": {"z": ["0", "0"], "chi": UNIT_LAW}}),
+        "complex_mismatch",
+        "cell point arity 2 does not match disk dimension 1"),
+}
+
+
+@pytest.mark.parametrize("command, data, code, detail", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_reader_and_diagram_refusals(corpus_dir, tmp_path, capsys, command,
+                                     data, code, detail):
+    if command == "reedy-normalize":
+        data = _edit_two_runs(corpus_dir, data)
+    bad = tmp_path / "input.json"
+    bad.write_text(json.dumps(data))
+    argv = {"validate": [str(bad)],
+            "normalize": [str(corpus_dir / "square.json"), str(bad)],
+            "reedy-normalize": [str(corpus_dir / "triangle.json"), str(bad),
+                                "--cell", "t"]}[command]
+    status, out = invoke(capsys, command, *argv)
+    assert (status, json.loads(out)) == (2, {"error": code, "detail": detail})
+
+
+def test_reedy_normalize_demotes_an_injected_path(corpus_dir, tmp_path,
+                                                  capsys):
+    # the two runs' paths joined into one path al -> ga, injected
+    elem = json.loads((corpus_dir / "elem_two_runs.json").read_text())
+    first, second = (e["path"] for e in elem["entries"])
+    through = {"from": "al", "to": "ga", "segs": first["segs"] + second["segs"]}
+    _one_pass({"inj": through})(elem)
+    path = tmp_path / "inj.json"
+    path.write_text(json.dumps(elem))
+    status, out = invoke(capsys, "reedy-normalize",
+                         str(corpus_dir / "triangle.json"), str(path),
+                         "--cell", "t")
+    assert status == 0
+    assert json.loads(out) == {
+        "u": "al", "v": "ga", "triples": [["al", 0, "ga"]],
+        "entries": [{"path": through}]}
+
+
 # one child per interpreter: every argv on stdin runs through cli.run in
 # process, and the exit statuses and stdouts come back as one JSON list
 RUN_ARGVS = """\
@@ -836,6 +935,18 @@ def test_failed_witness_guard_exits_two(corpus_dir, capsys, monkeypatch):
         status, out = invoke(capsys, *args)
         assert status == 2
         assert json.loads(out)["error"] == "engine_error"
+
+
+def test_unsimplified_witness_exits_two(corpus_dir, capsys, monkeypatch):
+    import dipath.reedy as reedy_mod
+
+    monkeypatch.setattr(reedy_mod, "is_simplified", lambda *args: False)
+    status, out = invoke(capsys, "pushout-check",
+                         str(corpus_dir / "triangle.json"), "--cell", "t",
+                         "--bound", "4")
+    assert (status, json.loads(out)) == (2, {
+        "error": "engine_error",
+        "detail": "witness for ('t',) is not simplified"})
 
 
 def test_duplicate_carriers_are_an_engine_error(corpus_dir, capsys,

@@ -5,7 +5,8 @@ from random import Random
 
 import pytest
 
-from dipath.errors import DuplicateLabelError, LengthChainMismatchError
+from dipath.errors import (BadInputError, DuplicateLabelError,
+                           LengthChainMismatchError)
 from dipath.gspace import (
     elem_make,
     elem_normalize,
@@ -27,6 +28,13 @@ def test_free_two_labels():
 def test_free_rejects_duplicates():
     with pytest.raises(DuplicateLabelError):
         free(1, ["a", "a"])
+
+
+def test_an_element_needs_a_factor():
+    with pytest.raises(BadInputError) as info:
+        elem_make(identity(1), [])
+    assert (info.value.code, info.value.detail) == (
+        "bad_input", "a tensor element needs at least one factor")
 
 
 def test_free_sphere_basis_for_globe_boundaries():

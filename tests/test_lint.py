@@ -155,3 +155,24 @@ def test_input_limits_are_decided_before_the_interpreter_guesses():
     handlers = [node.type for node in ast.walk(run)
                 if isinstance(node, ast.ExceptHandler)]
     assert [ast.unparse(h) for h in handlers] == ["EngineError"]
+
+
+def test_every_error_class_is_raised_somewhere():
+    # a deletion must not leave behind an error code that no module raises;
+    # an error built first and raised later (make_obj, check_normal_path)
+    # counts, so every call of the class is looked for
+    from dipath import errors
+
+    classes = {name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.EngineError)
+               and cls is not errors.EngineError}
+    built = set()
+    for path in sorted(Path(dipath.__file__).parent.glob("*.py")):
+        if path.name != "errors.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"),
+                             filename=str(path))
+            built.update(node.func.id for node in ast.walk(tree)
+                         if isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name))
+    assert classes, "no error classes found"
+    assert not classes - built, f"never raised: {sorted(classes - built)}"

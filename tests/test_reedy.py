@@ -12,6 +12,7 @@ from dipath.cellcomplex import (
     NormComp,
     Seg,
     Step,
+    normal_path_to_json,
     repar_normal,
     validate,
 )
@@ -31,6 +32,9 @@ from dipath.reedy import (
     APath,
     CellPath,
     InjPath,
+    ReedyElem,
+    WitnessPaths,
+    _demote,
     apply_composition,
     apply_inclusion,
     degree,
@@ -55,6 +59,7 @@ from fixture_lib import (
     globe,
     loop_heavy_desc,
     segment_desc,
+    triangle_desc,
 )
 from helpers import (
     all_normal_forms,
@@ -526,3 +531,100 @@ def test_make_obj_reports_conversion_then_chain_then_flag():
     assert info.type is BadInputError
     assert make_obj("u", "v", [("u", 1, "v"), ("v", 0, "w")]).triples == (
         ("u", 1, "v"), ("v", 0, "w"))
+
+
+# ---------------------------------------------------------------------------
+# refusals and guards, each with its code and detail
+
+
+def refusal(call, *args):
+    """The code and detail of the EngineError that ``call(*args)`` raises."""
+    with pytest.raises(EngineError) as info:
+        call(*args)
+    return info.value.code, info.value.detail
+
+
+def triangle_base():
+    """The triangle's edges, and the globe ``t`` over them."""
+    tri = triangle_desc()
+    return validate(ComplexDesc(tri.states, tri.cells[:3])), tri.cells[3]
+
+
+def test_make_elem_refusals():
+    base, _ = triangle_base()
+    a, ab = unit_path(base, ("a",)), unit_path(base, ("a", "b"))
+    run = make_obj("al", "ga", [("al", 0, "ga")])
+    through = make_obj("al", "ga", [("al", 1, "ga")])
+    centre = CellPath((F(0),), mu(1))
+    cases = [
+        (run, [APath(ab), APath(ab)], "bad_input", "1 slots but 2 entries"),
+        (through, [APath(ab)], "bad_input", "flag-1 slot holds a base path"),
+        (run, [InjPath(ab)], "bad_input",
+         "flag-0 slot holds an injected path"),
+        (run, [centre], "bad_input", "flag-0 slot holds a cell path"),
+        (run, [APath(a)], "endpoint_mismatch",
+         "slot path runs al->be, slot is al->ga"),
+        (through, [InjPath(a)], "endpoint_mismatch",
+         "injected path runs al->be"),
+        (run, ["a"], "bad_input", "not an entry: 'a'"),
+    ]
+    for obj, entries, code, detail in cases:
+        assert refusal(make_elem, obj, entries, base) == (code, detail)
+    assert refusal(make_obj, "al", "ga", []) == (
+        "bad_input", "an index object needs at least one triple")
+
+
+def test_arrow_refusals():
+    base, cell = triangle_base()
+    a, b = unit_path(base, ("a",)), unit_path(base, ("b",))
+    runs = make_obj("al", "ga", [("al", 0, "be"), ("be", 0, "ga")])
+    elem = make_elem(runs, [APath(a), APath(b)], base)
+    for i in (-1, 1):
+        assert refusal(apply_composition, elem, i) == (
+            "not_composable_here", f"no adjacent pair at {i}")
+    for i in (-1, 2):
+        assert refusal(apply_inclusion, elem, i) == (
+            "wrong_endpoints", f"no slot at {i}")
+    # make_elem refuses these slots; built by hand, the arrows' guards do
+    injected = ReedyElem(runs, (InjPath(a), InjPath(b)))
+    assert refusal(apply_composition, injected, 0) == (
+        "engine_error", "flag-0 slots 0 and 1 hold no base paths")
+    ab = unit_path(base, ("a", "b"))
+    lone = ReedyElem(make_obj("al", "ga", [("al", 0, "ga")]), (InjPath(ab),))
+    assert refusal(apply_inclusion, lone, 0) == (
+        "engine_error", "flag-0 slot 0 holds no base path")
+    assert refusal(_demote, elem, 0, base, cell) == (
+        "engine_error", "slot 0 holds no demotable entry")
+
+
+def test_injected_entries_round_trip_as_inj():
+    base, _ = triangle_base()
+    ab = unit_path(base, ("a", "b"))
+    elem = make_elem(make_obj("al", "ga", [("al", 1, "ga")]), [InjPath(ab)],
+                     base)
+    data = elem_to_json(elem)
+    assert data["entries"] == [{"inj": normal_path_to_json(ab)}]
+    assert elem_from_json(data, base) == elem
+
+
+def test_a_witness_that_is_not_simplified_is_an_engine_error(monkeypatch):
+    import dipath.reedy as reedy_mod
+
+    base, cell = triangle_base()
+    monkeypatch.setattr(reedy_mod, "is_simplified", lambda *args: False)
+    assert refusal(pushout_check, base, cell, 4) == (
+        "engine_error", "witness for ('t',) is not simplified")
+
+
+def test_a_slot_whose_path_runs_elsewhere_is_refused(monkeypatch):
+    # every slot holds the path of the edge e, which is valid on both
+    # complexes but runs al -> ga, so the slot of the word a is refused
+    base, cell = triangle_base()
+    real = WitnessPaths.slot
+
+    def elsewhere(paths, word, a, b):
+        return real(paths, word, a, b)[0], real(paths, ("e",), "al", "ga")[1]
+
+    monkeypatch.setattr(WitnessPaths, "slot", elsewhere)
+    assert refusal(pushout_check, base, cell, 4) == (
+        "endpoint_mismatch", "slot ('al', 0, 'be') holds al->ga")

@@ -21,6 +21,7 @@ from dipath.errors import (
     NonMonotonicError,
     OutOfDomainError,
 )
+from dipath.rational import as_length
 from dipath.reparam import (
     PLHomeo,
     _canonical,
@@ -121,6 +122,15 @@ def test_generators_refuse_empty_requests():
         rand_fraction(Random(0), 1, 1)
     with pytest.raises(EngineError, match="0 parts"):
         rand_partition(Random(0), 1, 0)
+
+
+def test_empty_lengths_and_empty_tensors_are_refused():
+    for call, args, code, detail in [
+            (as_length, (0,), "bad_length", "length must be > 0, got 0"),
+            (tensor, (), "bad_input", "tensor needs at least one factor")]:
+        with pytest.raises(EngineError) as info:
+            call(*args)
+        assert (info.value.code, info.value.detail) == (code, detail)
 
 
 def test_make_pl_identity():

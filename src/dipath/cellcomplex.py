@@ -300,9 +300,11 @@ class Complex:
         then each boundary, normalized here, so that the fold's first fault
         raises and a cell not attached before it is a forward reference."""
         if cell.src not in self._arcs:
-            raise UnknownStateError(f"cell {cell.id}: unknown state {cell.src}")
+            raise UnknownStateError(
+                f"cell {cell.id!s:.40}: unknown state {cell.src!s:.40}")
         if cell.dst not in self._arcs:
-            raise UnknownStateError(f"cell {cell.id}: unknown state {cell.dst}")
+            raise UnknownStateError(
+                f"cell {cell.id!s:.40}: unknown state {cell.dst!s:.40}")
         if cell.disk_dim == 0:
             if cell.boundary_minus is not None or cell.boundary_plus is not None:
                 raise BadDimError(f"edge {cell.id} cannot carry boundary paths")
@@ -339,7 +341,7 @@ class Complex:
         try:
             return self._cells[cid]
         except KeyError:
-            raise UnknownCellError(f"unknown cell {cid}") from None
+            raise UnknownCellError(f"unknown cell {cid!s:.40}") from None
 
     def boundary_normal(self, cid: str) -> tuple[NormalPath, NormalPath]:
         self.cell(cid)
@@ -520,8 +522,8 @@ class Complex:
         refuses (first: True would hit the table of bound 1), then no bound
         on a complex with loops."""
         if any(s not in self._arcs for s in states):
-            raise UnknownStateError(
-                "unknown state " + " or ".join(map(repr, states)))
+            raise UnknownStateError("unknown state " + " or ".join(
+                repr(f"{s!s:.40}") for s in states))
         check_bound(bound)
         if bound is None and not self.loop_free:
             raise UnboundedEnumerationError(

@@ -68,7 +68,7 @@ def _split_at_cell(path: str, cell_id: str):
     base = Complex(desc.states).extend(*desc.cells[:index])
     base.extend(*desc.cells[index:])
     if index == len(ids):
-        raise UnknownCellError(f"unknown cell {cell_id}")
+        raise UnknownCellError(f"unknown cell {cell_id!s:.40}")
     return base, desc.cells[index]
 
 

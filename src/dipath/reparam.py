@@ -16,6 +16,8 @@ The path layers read a length as the integer pair ending ``pts`` instead,
 and :func:`absorb` cuts on such pairs.  :func:`compose` and :func:`tensor`
 keep every break that only one canonical operand has, since the rest is
 linear there; a break can straighten only where two breaks meet.
+The merge sweep of :func:`compose` interpolates inline; :func:`_lerp` serves
+the cuts of :func:`_blocks` and the evaluations of :func:`_eval`.
 """
 
 from __future__ import annotations
@@ -215,10 +217,19 @@ def compose(phi: PLHomeo, psi: PLHomeo) -> PLHomeo:
         xn, xd, yn, yd = p[i]
         un, ud, vn, vd = q[k]
         c = yn * ud - un * yd
+        # _lerp inline, its axis fixed: a call per break was the sweep's cost
         if c < 0:  # phi's break comes first: evaluate psi there
-            pts.append((xn, xd, *_lerp(q[k - 1], q[k], yn, yd, 0)))
+            a, e, b, f = q[k - 1]
+            den = yd * (un * e - a * ud)
+            num = b * vd * den + (yn * e - a * yd) * ud * (vn * f - b * vd)
+            g = gcd(num, den := f * vd * den)
+            pts.append((xn, xd, num // g, den // g))
         elif c > 0:  # psi's break comes first: pull it back through phi
-            pts.append((*_lerp(p[i - 1], p[i], un, ud, 2), vn, vd))
+            b, f, a, e = p[i - 1]
+            den = ud * (yn * e - a * yd)
+            num = b * xd * den + (un * e - a * ud) * yd * (xn * f - b * xd)
+            g = gcd(num, den := f * xd * den)
+            pts.append((num // g, den // g, vn, vd))
         else:  # both maps break here: the only place the slopes may agree
             ties.append(len(pts))
             pts.append((xn, xd, vn, vd))

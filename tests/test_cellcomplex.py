@@ -163,6 +163,25 @@ def test_a_forward_reference_names_the_first_missing_cell_in_fold_order():
                                  "disk dimension is 0")
 
 
+def test_unknown_names_of_forty_characters_are_quoted_whole():
+    # the cut leaves every name of 40 characters or fewer as it was quoted
+    # before, and reads a name from the library that is not a string
+    name = "z" * 40
+    cx = Complex(("0", "1")).extend(Cell("e", 0, "0", "1"))
+    with pytest.raises(UnknownCellError) as exc:
+        cx.cell(name)
+    assert exc.value.detail == f"unknown cell {name}"
+    with pytest.raises(UnknownCellError) as exc:
+        cx.cell(7)
+    assert exc.value.detail == "unknown cell 7"
+    with pytest.raises(UnknownStateError) as exc:
+        cx.enumerate_carriers(name, 7, 1)
+    assert exc.value.detail == f"unknown state '{name}' or '7'"
+    with pytest.raises(UnknownStateError) as exc:
+        Complex(("0",)).extend(Cell(id=3, disk_dim=0, src="0", dst=(1,)))
+    assert exc.value.detail == "cell 3: unknown state (1,)"
+
+
 def test_library_only_refusals():
     with pytest.raises(BadDimError) as info:
         build("square").boundary_normal("a")

@@ -203,6 +203,50 @@ def test_error_details_cut_the_refused_value(corpus_dir, tmp_path, capsys,
     assert len(report["detail"]) < 100
 
 
+HUGE_NAME = "y" * 100_000
+
+
+def _step_json(cell):
+    return {"step": {"cell": cell, "z": [], "chi": UNIT_LAW}}
+
+
+@pytest.mark.parametrize("command, error", [
+    ("normalize", "unknown_cell"),
+    ("validate_state", "unknown_state"),
+    ("validate_boundary", "forward_reference"),
+    ("pushout_check", "unknown_cell"),
+    ("carriers", "unknown_state"),
+])
+def test_unknown_names_are_cut_in_the_detail(corpus_dir, tmp_path, capsys,
+                                             command, error):
+    # an unknown cell id or state is quoted by its first 40 characters,
+    # never whole
+    bad = tmp_path / "input.json"
+    square, triangle = (str(corpus_dir / f"{name}.json")
+                        for name in ("square", "triangle"))
+    bad.write_text(json.dumps({
+        "normalize": _step_json(HUGE_NAME),
+        "validate_state": {"states": ["0", "1"],
+                           "cells": [dict(EDGE, to=HUGE_NAME)]},
+        "validate_boundary": {"states": ["0", "1"], "cells": [EDGE, dict(
+            EDGE, id="g", dim=1, boundary_minus=_step_json("e"),
+            boundary_plus=_step_json(HUGE_NAME))]},
+    }.get(command)))
+    argv = {"normalize": ["normalize", square, str(bad)],
+            "validate_state": ["validate", str(bad)],
+            "validate_boundary": ["validate", str(bad)],
+            "pushout_check": ["pushout-check", triangle, "--cell", HUGE_NAME,
+                              "--bound", "2"],
+            "carriers": ["carriers", square, "--from", HUGE_NAME,
+                         "--to", "top"]}[command]
+    status, out = invoke(capsys, *argv)
+    assert status == 2
+    report = json.loads(out)
+    assert report["error"] == error
+    assert HUGE_NAME[:40] in report["detail"]
+    assert len(report["detail"]) < 120
+
+
 def deep_path(kind, depth):
     """A path ``depth`` levels deep whose innermost Moore or NormComp
     joins two steps that do not meet; a repar nest wraps one such Moore."""

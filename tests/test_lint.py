@@ -176,3 +176,19 @@ def test_every_error_class_is_raised_somewhere():
                          and isinstance(node.func, ast.Name))
     assert classes, "no error classes found"
     assert not classes - built, f"never raised: {sorted(classes - built)}"
+
+
+def test_compose_sweep_calls_no_helper_per_break():
+    # the merge sweep makes one output break per step, and a function call
+    # per break was its largest cost: only gcd and list appends run there
+    (compose,) = _functions("reparam.py", {"compose"}).values()
+    loops = [node for node in ast.walk(compose) if isinstance(node, ast.While)]
+    assert len(loops) == 1, "compose has no single merge loop"
+    found = [f"{node.lineno}: {ast.unparse(node.func)}"
+             for stmt in loops[0].body for node in ast.walk(stmt)
+             if isinstance(node, ast.Call) and not (
+                 isinstance(node.func, ast.Name)
+                 and node.func.id in {"gcd", "len"}
+                 or isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "append")]
+    assert not found, f"calls in compose's merge sweep: {found}"

@@ -414,12 +414,41 @@ def test_split_matches_cuts_then_decompose(case):
     assert tensor(*blocks) == phi
 
 
+def packed_map(draw, src, dst, lo, hi, axis):
+    """A map [0, src] -> [0, dst] whose 1-62 interior breaks all read
+    inside (lo, hi) on the given axis (0: source, 1: target)."""
+    k = draw(st.integers(1, 62))
+    inside = [lo + t for t in grid_points(draw, hi - lo, k)]
+    spread = grid_points(draw, (src, dst)[1 - axis], k)
+    pairs = zip(inside, spread) if axis == 0 else zip(spread, inside)
+    return make_pl(src, dst, [(0, 0), *pairs, (src, dst)])
+
+
+@st.composite
+def composable_pairs(draw):
+    """phi then psi: maps of up to 24 breaks, long maps of up to 128, or
+    one map's breaks packed inside a single segment of the other, so that
+    the sweep interpolates on that segment many times running."""
+    kind = draw(st.sampled_from(["short", "long", "in_phi", "in_psi"]))
+    if kind in ("short", "long"):
+        most = 24 if kind == "short" else 128
+        phi = draw(pl_maps(max_breaks=most))
+        return phi, draw(pl_maps(src=phi.dst_len, max_breaks=most))
+    wide = draw(pl_maps(max_breaks=64))
+    j = draw(st.integers(0, len(wide.pts) - 2))
+    (x1, y1), (x2, y2) = wide.breaks[j:j + 2]
+    if kind == "in_phi":  # psi's breaks pull back into one segment of phi
+        return wide, packed_map(draw, wide.dst_len, draw(lengths), y1, y2, 0)
+    # phi's breaks land inside one segment of psi
+    return packed_map(draw, draw(lengths), wide.src_len, x1, x2, 1), wide
+
+
 @PROPERTY
-@given(st.data())
-def test_compose_matches_pointwise_composite(data):
-    phi = data.draw(pl_maps())
-    psi = data.draw(pl_maps(src=phi.dst_len))
+@given(composable_pairs())
+def test_compose_matches_pointwise_composite(case):
+    phi, psi = case
     comp = compose(phi, psi)
+    assert_canonical_points(comp)
     pulled = [oracle_eval([(y, x) for x, y in phi.breaks], u)
               for u, _ in psi.breaks]
     times = {x for x, _ in phi.breaks + comp.breaks} | set(pulled)

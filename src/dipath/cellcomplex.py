@@ -147,7 +147,8 @@ def disk_side(z: tuple[Fraction, ...]) -> int:
 
 def _meet(end: str, start: str) -> None:
     if end != start:
-        raise EndpointMismatchError(f"cannot concatenate: {end} != {start}")
+        raise EndpointMismatchError(
+            f"cannot concatenate: {end!s:.40} != {start!s:.40}")
 
 
 def _span(np: NormalPath) -> tuple[int, int]:
@@ -307,14 +308,16 @@ class Complex:
                 f"cell {cell.id!s:.40}: unknown state {cell.dst!s:.40}")
         if cell.disk_dim == 0:
             if cell.boundary_minus is not None or cell.boundary_plus is not None:
-                raise BadDimError(f"edge {cell.id} cannot carry boundary paths")
+                raise BadDimError(
+                    f"edge {cell.id!s:.40} cannot carry boundary paths")
             return None
         if cell.disk_dim != 1:
             raise BadDimError(
-                f"cell {cell.id}: geometric cells have disk dimension 0 or 1, "
-                f"got {cell.disk_dim}")
+                f"cell {cell.id!s:.40}: geometric cells have disk "
+                f"dimension 0 or 1, got {cell.disk_dim}")
         if cell.boundary_minus is None or cell.boundary_plus is None:
-            raise BadDimError(f"globe {cell.id} needs both boundary paths")
+            raise BadDimError(
+                f"globe {cell.id!s:.40} needs both boundary paths")
         nfs = []
         for side, expr in (("-", cell.boundary_minus),
                            ("+", cell.boundary_plus)):
@@ -322,16 +325,17 @@ class Complex:
                 nf = self.normalize(expr)
             except UnknownCellError as exc:
                 raise ForwardReferenceError(
-                    f"boundary {side} of {cell.id} uses a cell not attached "
-                    f"before it: {exc.detail}") from None
+                    f"boundary {side} of {cell.id!s:.40} uses a cell not "
+                    f"attached before it: {exc.detail}") from None
             if (length := _span(nf)) != (1, 1):
                 raise BadLengthError(
-                    f"boundary {side} of {cell.id} must have length 1, "
+                    f"boundary {side} of {cell.id!s:.40} must have length 1, "
                     f"got {format_ratio(*length)}")
             if (nf.start, nf.end) != (cell.src, cell.dst):
                 raise BoundaryEndpointMismatchError(
-                    f"boundary {side} of {cell.id} runs {nf.start}->{nf.end}, "
-                    f"cell runs {cell.src}->{cell.dst}")
+                    f"boundary {side} of {cell.id!s:.40} runs "
+                    f"{nf.start!s:.40}->{nf.end!s:.40}, "
+                    f"cell runs {cell.src!s:.40}->{cell.dst!s:.40}")
             nfs.append(nf)
         return nfs[0], nfs[1]
 
@@ -348,7 +352,8 @@ class Complex:
         try:
             return self._boundaries[cid]
         except KeyError:
-            raise BadDimError(f"cell {cid} has no boundary paths") from None
+            raise BadDimError(
+                f"cell {cid!s:.40} has no boundary paths") from None
 
     # -- normalization
 
@@ -385,8 +390,8 @@ class Complex:
             cell = self.cell(expr.cell)
             if len(expr.z) != cell.disk_dim:
                 raise BadDimError(
-                    f"step in {cell.id}: point has {len(expr.z)} coordinates, "
-                    f"cell disk dimension is {cell.disk_dim}")
+                    f"step in {cell.id!s:.40}: point has {len(expr.z)} "
+                    f"coordinates, cell disk dimension is {cell.disk_dim}")
             if (lands := expr.chi.pts[-1][2:]) != (1, 1):
                 raise BadLengthError(f"step time law must land in [0,1], "
                                      f"got [0,{format_ratio(*lands)}]")
@@ -473,7 +478,8 @@ class Complex:
             cell = cells.get(seg.cell) or self.cell(seg.cell)
             if len(seg.z) != cell.disk_dim:
                 raise BadDimError(
-                    f"segment in {cell.id}: wrong point arity {len(seg.z)}")
+                    f"segment in {cell.id!s:.40}: wrong point arity "
+                    f"{len(seg.z)}")
             if cell.disk_dim and disk_side(seg.z) >= 0:
                 raise OutOfDomainError(
                     f"segment point {format_point(seg.z)} must be interior")
@@ -481,7 +487,7 @@ class Complex:
                 raise BadLengthError("segment time law must land in [0,1]")
             if at is not None and at != cell.src and broken is None:
                 broken = EndpointMismatchError(
-                    f"segments do not chain: {at} != {cell.src}")
+                    f"segments do not chain: {at!s:.40} != {cell.src!s:.40}")
             at = cell.dst
         if broken is not None:
             raise broken
@@ -663,9 +669,9 @@ def cell_from_json(data) -> Cell:
         cid = json_str(data["id"], "cell id")
         return Cell(
             id=cid,
-            disk_dim=json_int(data["dim"], f"dim of cell {cid}"),
-            src=json_str(data["from"], f"from of cell {cid}"),
-            dst=json_str(data["to"], f"to of cell {cid}"),
+            disk_dim=json_int(data["dim"], f"dim of cell {cid!s:.40}"),
+            src=json_str(data["from"], f"from of cell {cid!s:.40}"),
+            dst=json_str(data["to"], f"to of cell {cid!s:.40}"),
             boundary_minus=expr_from_json(minus) if minus is not None else None,
             boundary_plus=expr_from_json(plus) if plus is not None else None,
         )

@@ -4,8 +4,9 @@ When a new cell is glued onto a base complex A, every path of the extended
 complex X decomposes into runs through A interleaved with passes through the
 new cell.  The formal side of that statement is a diagram indexed by tuples
 of triples (state, flag, state): flag 0 slots hold paths of A, flag 1 slots
-hold paths of the freshly attached cell (either an injected A-path or a
-genuine cell path).  Two rewrite rules simplify an element:
+hold an injected A-path or a pass through the freshly attached cell.  An
+element holds only its entries, each of which fixes its slot's triple, and
+the cell's endpoints (u, v).  Two rewrite rules simplify an element:
 
 * R1 merges two adjacent flag-0 slots by concatenating their paths;
 * R2 lowers a flag-1 slot whose content already lives in A (an injected
@@ -33,7 +34,6 @@ from .cellcomplex import (
     NormalPath,
     Seg,
     Step,
-    check_bound,
     concat,
     disk_side,
     normal_path_from_json,
@@ -60,8 +60,6 @@ from .reparam import PLHomeo, mu, pl_from_json
 _UNIT = mu(1)
 _ZERO = Fraction(0)
 
-Triple = tuple[str, int, str]
-
 
 @dataclass(frozen=True)
 class ReedyObj:
@@ -69,7 +67,7 @@ class ReedyObj:
 
     u: str
     v: str
-    triples: tuple[Triple, ...]
+    triples: tuple[tuple[str, int, str], ...]
 
 
 def make_obj(u: str, v: str, triples) -> ReedyObj:
@@ -81,12 +79,13 @@ def make_obj(u: str, v: str, triples) -> ReedyObj:
         a, e, b = str(a), json_int(e, "triple flag"), str(b)
         if trips and trips[-1][2] != a and chain_error is None:
             chain_error = EndpointMismatchError(
-                f"triples do not chain: {trips[-1][2]} != {a}")
+                f"triples do not chain: {trips[-1][2]!s:.40} != {a!s:.40}")
         if flag_error is None and e not in (0, 1):
             flag_error = BadInputError(f"flag must be 0 or 1, got {e}")
         elif flag_error is None and e == 1 and (a, b) != (u, v):
             flag_error = WrongEndpointsError(
-                f"flag-1 triple must run {u} -> {v}, got {a} -> {b}")
+                f"flag-1 triple must run {u!s:.40} -> {v!s:.40}, "
+                f"got {a!s:.40} -> {b!s:.40}")
         trips.append((a, e, b))
     if not trips:
         raise BadInputError("an index object needs at least one triple")
@@ -127,8 +126,18 @@ Entry = Union[APath, InjPath, CellPath]
 
 @dataclass(frozen=True)
 class ReedyElem:
-    obj: ReedyObj
+    u: str
+    v: str
     entries: tuple[Entry, ...]
+
+    @property
+    def obj(self) -> ReedyObj:
+        """The index object: a base path fills (start, 0, end), an injected
+        path (start, 1, end) and a cell pass (u, 1, v)."""
+        return ReedyObj(self.u, self.v, tuple(
+            (e.path.start, 0, e.path.end) if isinstance(e, APath)
+            else (e.path.start, 1, e.path.end) if isinstance(e, InjPath)
+            else (self.u, 1, self.v) for e in self.entries))
 
 
 def make_elem(obj: ReedyObj, entries, base: Complex) -> ReedyElem:
@@ -143,15 +152,16 @@ def make_elem(obj: ReedyObj, entries, base: Complex) -> ReedyElem:
             base.check_normal_path(entry.path)
             if (entry.path.start, entry.path.end) != (a, b):
                 raise EndpointMismatchError(
-                    f"slot path runs {entry.path.start}->{entry.path.end}, "
-                    f"slot is {a}->{b}")
+                    f"slot path runs {entry.path.start!s:.40}->"
+                    f"{entry.path.end!s:.40}, slot is {a!s:.40}->{b!s:.40}")
         elif isinstance(entry, InjPath):
             if e != 1:
                 raise BadInputError("flag-0 slot holds an injected path")
             base.check_normal_path(entry.path)
             if (entry.path.start, entry.path.end) != (a, b):
                 raise EndpointMismatchError(
-                    f"injected path runs {entry.path.start}->{entry.path.end}")
+                    f"injected path runs {entry.path.start!s:.40}->"
+                    f"{entry.path.end!s:.40}")
         elif isinstance(entry, CellPath):
             if e != 1:
                 raise BadInputError("flag-0 slot holds a cell path")
@@ -162,53 +172,43 @@ def make_elem(obj: ReedyObj, entries, base: Complex) -> ReedyElem:
                 raise BadLengthError("cell time law must land in [0,1]")
         else:
             raise BadInputError(f"not an entry: {entry!r}")
-    return ReedyElem(obj, entries)
+    return ReedyElem(obj.u, obj.v, entries)
 
 
 # ---------------------------------------------------------------------------
 # single-step arrows
 
 
-def _replace(elem: ReedyElem, i: int, n: int, triple: Triple,
-             entry: Entry) -> ReedyElem:
+def _replace(elem: ReedyElem, i: int, n: int, entry: Entry) -> ReedyElem:
     """``elem`` with its n slots from slot i replaced by one slot."""
-    trips, entries = elem.obj.triples, elem.entries
-    obj = ReedyObj(elem.obj.u, elem.obj.v,
-                   trips[:i] + (triple,) + trips[i + n:])
-    return ReedyElem(obj, entries[:i] + (entry,) + entries[i + n:])
+    entries = elem.entries
+    return ReedyElem(elem.u, elem.v, entries[:i] + (entry,) + entries[i + n:])
 
 
 def apply_composition(elem: ReedyElem, i: int) -> ReedyElem:
     """Merge the flag-0 slots i and i+1 by path concatenation."""
-    trips = elem.obj.triples
-    if i < 0 or i + 1 >= len(trips):
+    entries = elem.entries
+    if i < 0 or i + 1 >= len(entries):
         raise NotComposableHereError(f"no adjacent pair at {i}")
-    (a, e1, b), (_, e2, c) = trips[i], trips[i + 1]
-    if e1 != 0 or e2 != 0:
+    left, right = entries[i], entries[i + 1]
+    if not (isinstance(left, APath) and isinstance(right, APath)):
         raise NotComposableHereError(
             f"slots {i} and {i+1} are not both flag 0")
-    left = elem.entries[i]
-    right = elem.entries[i + 1]
-    if not (isinstance(left, APath) and isinstance(right, APath)):
-        raise EngineError(f"flag-0 slots {i} and {i+1} hold no base paths")
-    return _replace(elem, i, 2, (a, 0, c),
-                    APath(concat(left.path, right.path)))
+    return _replace(elem, i, 2, APath(concat(left.path, right.path)))
 
 
 def apply_inclusion(elem: ReedyElem, i: int) -> ReedyElem:
     """Raise the flag-0 slot i with endpoints (u, v) into a flag-1 slot."""
-    trips = elem.obj.triples
-    if i < 0 or i >= len(trips):
+    entries = elem.entries
+    if i < 0 or i >= len(entries):
         raise WrongEndpointsError(f"no slot at {i}")
-    a, e, b = trips[i]
-    if e != 0 or (a, b) != (elem.obj.u, elem.obj.v):
+    entry = entries[i]
+    if not (isinstance(entry, APath)
+            and (entry.path.start, entry.path.end) == (elem.u, elem.v)):
         raise WrongEndpointsError(
             f"slot {i} is not a flag-0 slot running "
-            f"{elem.obj.u} -> {elem.obj.v}")
-    entry = elem.entries[i]
-    if not isinstance(entry, APath):
-        raise EngineError(f"flag-0 slot {i} holds no base path")
-    return _replace(elem, i, 1, (a, 1, b), InjPath(entry.path))
+            f"{elem.u!s:.40} -> {elem.v!s:.40}")
+    return _replace(elem, i, 1, InjPath(entry.path))
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +216,10 @@ def apply_inclusion(elem: ReedyElem, i: int) -> ReedyElem:
 
 
 def _check_cell(elem: ReedyElem, cell: Cell) -> None:
-    if (cell.src, cell.dst) != (elem.obj.u, elem.obj.v):
+    if (cell.src, cell.dst) != (elem.u, elem.v):
         raise ComplexMismatchError(
-            f"cell {cell.id} runs {cell.src}->{cell.dst}, element expects "
-            f"{elem.obj.u}->{elem.obj.v}")
+            f"cell {cell.id!s:.40} runs {cell.src!s:.40}->{cell.dst!s:.40}, "
+            f"element expects {elem.u!s:.40}->{elem.v!s:.40}")
 
 
 def _boundary_path(base: Complex, cell: Cell,
@@ -254,25 +254,29 @@ def _demote(elem: ReedyElem, i: int, base: Complex, cell: Cell) -> ReedyElem:
         path = repar_normal(_boundary_path(base, cell, entry.z), entry.chi)
     else:
         raise EngineError(f"slot {i} holds no demotable entry")
-    a, _, b = elem.obj.triples[i]
-    return _replace(elem, i, 1, (a, 0, b), APath(path))
+    return _replace(elem, i, 1, APath(path))
 
 
 def _merges(elem: ReedyElem):
     """The slots that merge with their right neighbour, in order."""
-    trips = elem.obj.triples
-    return (i for i in range(len(trips) - 1)
-            if trips[i][1] == 0 and trips[i + 1][1] == 0)
+    entries = elem.entries
+    return (i for i in range(len(entries) - 1)
+            if isinstance(entries[i], APath)
+            and isinstance(entries[i + 1], APath))
+
+
+def _rewrites(elem: ReedyElem, base: Complex, cell: Cell):
+    """The one-step rewrites: merges, then demotions, each leftmost first;
+    the demotion scan is whole before the first demotion runs."""
+    for i in _merges(elem):
+        yield apply_composition(elem, i)
+    for i in list(_demotions(elem, cell)):
+        yield _demote(elem, i, base, cell)
 
 
 def rewrite_steps(elem: ReedyElem, base: Complex, cell: Cell) -> list[ReedyElem]:
-    """Every element reachable in exactly one rewrite step."""
-    out = [apply_composition(elem, i) for i in _merges(elem)]
-    # the whole scan first: a wrong-arity cell point raises before any
-    # demotion runs
-    out.extend(_demote(elem, i, base, cell)
-               for i in list(_demotions(elem, cell)))
-    return out
+    """Every element reachable in exactly one rewrite step, in order."""
+    return list(_rewrites(elem, base, cell))
 
 
 def is_simplified(elem: ReedyElem, base: Complex, cell: Cell) -> bool:
@@ -282,27 +286,19 @@ def is_simplified(elem: ReedyElem, base: Complex, cell: Cell) -> bool:
 
 
 def normalize_elem(elem: ReedyElem, base: Complex, cell: Cell) -> ReedyElem:
-    """Exhaust merges and demotions, leftmost rule first.
+    """Follow the first rewrite step until none is left.
 
     The degree drops at every step, which bounds the rewrite length by the
     starting degree; the result has no adjacent flag-0 slots and every cell
-    point strictly interior.  Every cell point's arity is checked before
-    the first demotion.
+    point strictly interior.
     """
     _check_cell(elem, cell)
     current = elem
-    while True:
-        merge = next(_merges(current), None)
-        if merge is not None:
-            nxt = apply_composition(current, merge)
-        else:
-            demotions = list(_demotions(current, cell))
-            if not demotions:
-                return current
-            nxt = _demote(current, demotions[0], base, cell)
+    while (nxt := next(_rewrites(current, base, cell), None)) is not None:
         if degree(nxt.obj) >= degree(current.obj):
             raise EngineError("rewrite step did not decrease the degree")
         current = nxt
+    return current
 
 
 # ---------------------------------------------------------------------------
@@ -339,22 +335,21 @@ def realize(elem: ReedyElem, pushout: Complex, cell_id: str) -> NormalPath:
 class WitnessPaths:
     """The parts that fill witness slots, built on first use and then
     shared: one unit-speed ``Seg`` through the centre of each cell, and per
-    run word its flag-0 slot, the pair ``((a, 0, b), APath(path))``.  One
+    run word its flag-0 entry, the ``APath`` of that word from a to b.  One
     instance serves every step of :func:`pushout_steps`, so a run's slot is
-    the same objects in every shape and step that use it; each step checks
+    the same object in every shape and step that use it; each step checks
     it once, however many of its witnesses hold it."""
 
     def __init__(self, cells):
         self._units = {c.id: Seg(c.id, (_ZERO,) * c.disk_dim, _UNIT)
                        for c in cells}
-        self._slots: dict[tuple[str, ...], tuple[Triple, APath]] = {}
+        self._slots: dict[tuple[str, ...], APath] = {}
 
-    def slot(self, word: tuple[str, ...], a: str, b: str
-             ) -> tuple[Triple, APath]:
+    def slot(self, word: tuple[str, ...], a: str, b: str) -> APath:
         slot = self._slots.get(word)
         if slot is None:
             path = NormalPath(a, b, tuple(self._units[cid] for cid in word))
-            slot = self._slots[word] = ((a, 0, b), APath(path))
+            slot = self._slots[word] = APath(path)
         return slot
 
 
@@ -371,9 +366,9 @@ def _shapes(base: Complex, pushout: Complex, cell: Cell, bound: int,
     its start or at a state in its row of the table.  The k=0 shapes,
     single runs of the base, are not yielded.  Each part is checked once: a
     slot (``fresh`` runs (word, a, b) first) on both complexes and against
-    its triple, the pass as :func:`make_elem` checks it, then normalized.
-    A realization is its prefix's, ``concat`` with one part (or none), whose
-    check that they meet chains the triples."""
+    the run's endpoints, the pass as :func:`make_elem` checks it, then
+    normalized.  A realization is its prefix's, ``concat`` with one part (or
+    none), whose check that they meet chains the slots."""
     table = base.carrier_table(bound)
     rows = {a: {a: None} for a in base.states}
     for a, b in table:
@@ -383,25 +378,26 @@ def _shapes(base: Complex, pushout: Complex, cell: Cell, bound: int,
 
     def slot(word: tuple[str, ...], a: str, b: str):
         if word not in slots:
-            triple, entry = paths.slot(word, a, b)
+            entry = paths.slot(word, a, b)
             path = pushout.check_normal_path(base.check_normal_path(entry.path))
-            if triple != (path.start, 0, path.end):
+            if (path.start, path.end) != (a, b):
                 raise EndpointMismatchError(
-                    f"slot {triple} holds {path.start}->{path.end}")
-            slots[word] = (triple,), (entry,), path
+                    f"slot {(a[:40], 0, b[:40])} holds "
+                    f"{path.start!s:.40}->{path.end!s:.40}")
+            slots[word] = (entry,), path
         return slots[word]
 
     for run in fresh:
         slot(*run)
     through = CellPath((_ZERO,) * cell.disk_dim, _UNIT)
-    pass_t, pass_e = ((u, 1, v),), (through,)
-    make_elem(ReedyObj(u, v, pass_t), pass_e, base)
+    pass_e = (through,)
+    make_elem(ReedyObj(u, v, ((u, 1, v),)), pass_e, base)
     passed = pushout.normalize(Step(cell.id, through.z, through.chi))
 
     def runs(a: str, b: str, budget: int):
         # every run a -> b within the budget, the empty one (no path) too
         if a == b and budget >= 0:
-            yield (), (), (), None
+            yield (), (), None
         for word in table.get((a, b), ()):
             if len(word) <= budget:
                 yield word, *slot(word, a, b)
@@ -413,20 +409,18 @@ def _shapes(base: Complex, pushout: Complex, cell: Cell, bound: int,
     def passes(ends):
         # the cuts one pass further on
         return [(v, rest - len(run) - 1, w + run + (cell.id,),
-                 t + run_t + pass_t, e + run_e + pass_e,
-                 join(join(r, part), passed))
-                for a, rest, w, t, e, r in ends
-                for run, run_t, run_e, part in runs(a, u, rest - 1)]
+                 e + run_e + pass_e, join(join(r, part), passed))
+                for a, rest, w, e, r in ends
+                for run, run_e, part in runs(a, u, rest - 1)]
 
     # the shapes cut right after their k-th pass, for k = 1, 2, ...: the
-    # state reached, the budget left, the word, slots and realization so far
-    ends = passes([(a, bound, (), (), (), None) for a in base.states])
+    # state reached, the budget left, the word, entries and realization so far
+    ends = passes([(a, bound, (), (), None) for a in base.states])
     while ends:
-        for a, rest, w, t, e, r in ends:
+        for a, rest, w, e, r in ends:
             for target in rows[a]:
-                for last, last_t, last_e, part in runs(a, target, rest):
-                    yield (w + last, ReedyElem(ReedyObj(u, v, t + last_t),
-                                               e + last_e), join(r, part))
+                for last, last_e, part in runs(a, target, rest):
+                    yield w + last, ReedyElem(u, v, e + last_e), join(r, part)
         ends = passes(ends)
 
 
@@ -440,8 +434,8 @@ def pushout_steps(base: Complex, cells, bound: int):
     sorted word lists of base-side interleavings (left) and of the
     pushout's own carriers (right), and whether they are equal.
 
-    The bound is refused once: the shapes spend it as a budget, so it is
-    needed even on a loop-free base.  One ``WitnessPaths`` serves every
+    The base's carrier table refuses a bad bound before any other work; the
+    shapes spend it as a budget, so it is needed even on a loop-free base.  One ``WitnessPaths`` serves every
     step.  Each shape with k >= 1 passes through the cell is witnessed: its
     element from :func:`_shapes` is tested with ``is_simplified`` and its
     realization compared by carrier.  A k=0 shape is a base run, which no
@@ -453,10 +447,9 @@ def pushout_steps(base: Complex, cells, bound: int):
     its table replaced.  An equal right list is the left list."""
     if bound is None:
         raise BadInputError("a pushout check needs a carrier bound, got None")
-    check_bound(bound)
+    table = base.carrier_table(bound)
     cells = tuple(cells)
     paths = WitnessPaths(base.desc.cells + cells)
-    table = base.carrier_table(bound)
     words = sorted(chain.from_iterable(table.values()))
     fresh = [(w, a, b) for (a, b), ws in table.items() for w in ws]
     for cell in cells:
@@ -492,11 +485,6 @@ def pushout_steps(base: Complex, cells, bound: int):
 # JSON encoding
 
 
-def obj_to_json(obj: ReedyObj) -> dict:
-    return {"u": obj.u, "v": obj.v,
-            "triples": [[a, e, b] for a, e, b in obj.triples]}
-
-
 def obj_from_json(data) -> ReedyObj:
     try:
         return make_obj(
@@ -519,9 +507,9 @@ def elem_to_json(elem: ReedyElem) -> dict:
             entries.append({"cellpath": {
                 "z": [format_fraction(x) for x in entry.z],
                 "chi": entry.chi.to_json()}})
-    out = obj_to_json(elem.obj)
-    out["entries"] = entries
-    return out
+    return {"u": elem.u, "v": elem.v,
+            "triples": [[a, e, b] for a, e, b in elem.obj.triples],
+            "entries": entries}
 
 
 def elem_from_json(data, base: Complex) -> ReedyElem:

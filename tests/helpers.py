@@ -359,7 +359,15 @@ def all_normal_forms(elem, cx, cell):
 
 def rand_reedy_elem(rng: Random, cx, cell, max_entries=5):
     """A random diagram element over the base complex and attached cell."""
-    from dipath.reedy import APath, make_elem, make_obj
+    from dipath.reedy import make_elem
+
+    return make_elem(*rand_reedy_parts(rng, cx, cell, max_entries), cx)
+
+
+def rand_reedy_parts(rng: Random, cx, cell, max_entries=5):
+    """The index object and entries of a random diagram element over the
+    base complex and attached cell."""
+    from dipath.reedy import APath, make_obj
 
     u, v = cell.src, cell.dst
     n = rng.randrange(1, max_entries + 1)
@@ -386,7 +394,7 @@ def rand_reedy_elem(rng: Random, cx, cell, max_entries=5):
                 entries.append(APath(path))
                 state = target
         if ok:
-            return make_elem(make_obj(u, v, triples), entries, cx)
+            return make_obj(u, v, triples), entries
     raise AssertionError("failed to sample a diagram element")
 
 
@@ -465,7 +473,7 @@ def watch_witnesses(patch, fault=None):
             assert realized == unit_path(pushout, word)
             words.append(word)
             yield word, elem, realized if fault is None else fault(realized)
-        assert all(on_both(paths.slot(*run)[1].path) for run in fresh)
+        assert all(on_both(paths.slot(*run).path) for run in fresh)
 
     patch.setattr(Complex, "check_normal_path", check_spy)
     patch.setattr(reedy, "_shapes", watched)

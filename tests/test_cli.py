@@ -210,35 +210,71 @@ def _step_json(cell):
     return {"step": {"cell": cell, "z": [], "chi": UNIT_LAW}}
 
 
+def _globe_json(**fields):
+    globe = dict(EDGE, id=HUGE_NAME, dim=1, boundary_minus=_step_json("e"),
+                 boundary_plus=_step_json("e"))
+    return dict(globe, **fields)
+
+
+# the states and cells of each case that validates a complex
+VALIDATE_CASES = {
+    "validate_state": (["0", "1"], [dict(EDGE, to=HUGE_NAME)]),
+    "validate_boundary": (["0", "1"], [EDGE, dict(
+        EDGE, id="g", dim=1, boundary_minus=_step_json("e"),
+        boundary_plus=_step_json(HUGE_NAME))]),
+    "validate_dim": (["0", "1"], [dict(EDGE, id=HUGE_NAME, dim="0")]),
+    "validate_from": (["0", "1"], [dict(EDGE, id=HUGE_NAME, **{"from": 0})]),
+    "validate_dim_two": (["0", "1"], [dict(EDGE, id=HUGE_NAME, dim=2)]),
+    "validate_edge_boundary": (["0", "1"], [dict(
+        EDGE, id=HUGE_NAME, boundary_minus=_step_json("e"))]),
+    "validate_one_side": (["0", "1"], [EDGE, _globe_json(boundary_plus=None)]),
+    "validate_boundary_ends": (["0", "1", "2"], [EDGE, _globe_json(to="2")]),
+    "validate_concat": (["0", "1", HUGE_NAME], [
+        EDGE, dict(EDGE, id="f", **{"from": HUGE_NAME}),
+        _globe_json(boundary_minus={"moore": [_step_json("e"),
+                                              _step_json("f")]})]),
+}
+
+
 @pytest.mark.parametrize("command, error", [
     ("normalize", "unknown_cell"),
     ("validate_state", "unknown_state"),
     ("validate_boundary", "forward_reference"),
     ("pushout_check", "unknown_cell"),
     ("carriers", "unknown_state"),
+    ("validate_dim", "bad_input"),
+    ("validate_from", "bad_input"),
+    ("validate_dim_two", "bad_dim"),
+    ("validate_edge_boundary", "bad_dim"),
+    ("validate_one_side", "bad_dim"),
+    ("validate_boundary_ends", "boundary_endpoint_mismatch"),
+    ("validate_concat", "endpoint_mismatch"),
+    ("reedy_chain", "endpoint_mismatch"),
 ])
 def test_unknown_names_are_cut_in_the_detail(corpus_dir, tmp_path, capsys,
                                              command, error):
-    # an unknown cell id or state is quoted by its first 40 characters,
-    # never whole
+    # a cell id or state, known or not, is quoted by its first 40
+    # characters, never whole
     bad = tmp_path / "input.json"
     square, triangle = (str(corpus_dir / f"{name}.json")
                         for name in ("square", "triangle"))
-    bad.write_text(json.dumps({
-        "normalize": _step_json(HUGE_NAME),
-        "validate_state": {"states": ["0", "1"],
-                           "cells": [dict(EDGE, to=HUGE_NAME)]},
-        "validate_boundary": {"states": ["0", "1"], "cells": [EDGE, dict(
-            EDGE, id="g", dim=1, boundary_minus=_step_json("e"),
-            boundary_plus=_step_json(HUGE_NAME))]},
-    }.get(command)))
+    if command in VALIDATE_CASES:
+        states, cells = VALIDATE_CASES[command]
+        bad.write_text(json.dumps({"states": states, "cells": cells}))
+    else:
+        bad.write_text(json.dumps({
+            "normalize": _step_json(HUGE_NAME),
+            "reedy_chain": {"u": "al", "v": "ga", "entries": [],
+                            "triples": [["al", 0, HUGE_NAME],
+                                        ["be", 0, "ga"]]},
+        }.get(command)))
     argv = {"normalize": ["normalize", square, str(bad)],
-            "validate_state": ["validate", str(bad)],
-            "validate_boundary": ["validate", str(bad)],
             "pushout_check": ["pushout-check", triangle, "--cell", HUGE_NAME,
                               "--bound", "2"],
             "carriers": ["carriers", square, "--from", HUGE_NAME,
-                         "--to", "top"]}[command]
+                         "--to", "top"],
+            "reedy_chain": ["reedy-normalize", triangle, str(bad),
+                            "--cell", "t"]}.get(command, ["validate", str(bad)])
     status, out = invoke(capsys, *argv)
     assert status == 2
     report = json.loads(out)
@@ -1023,11 +1059,13 @@ def test_cross_process_byte_determinism(corpus_dir):
     # Separate interpreter runs (fresh hash seeds) must agree byte for byte.
     # The children import the same dipath copy as this test (installed or
     # from a source checkout); the hash seed is the only env difference.
+    # With a clean environment, -B keeps them from writing bytecode next to
+    # the sources.
     package_root = os.path.dirname(os.path.dirname(dipath.__file__))
     outputs = []
     for seed in ("0", "42"):
         proc = subprocess.run(
-            [sys.executable, "-m", "dipath", "fundcat",
+            [sys.executable, "-B", "-m", "dipath", "fundcat",
              str(corpus_dir / "grid21.json")],
             capture_output=True,
             env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",

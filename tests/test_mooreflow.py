@@ -324,7 +324,7 @@ def spy_steps(patch):
 
     def slot_spy(self, word, a, b):
         handed = slot(self, word, a, b)
-        log[-1]["handed"].append((word, handed[1]))
+        log[-1]["handed"].append((word, handed))
         return handed
 
     def normalize_spy(self, expr):
@@ -544,12 +544,12 @@ def _poison_slot(monkeypatch, word, bad_seg):
     slot = reedy.WitnessPaths.slot
 
     def poisoned(self, run, a, b):
-        triple, entry = slot(self, run, a, b)
+        entry = slot(self, run, a, b)
         if run == word:
             segs = entry.path.segs
             entry = reedy.APath(
                 NormalPath(a, b, (bad_seg(segs[0]),) + segs[1:]))
-        return triple, entry
+        return entry
 
     monkeypatch.setattr(reedy.WitnessPaths, "slot", poisoned)
 

@@ -48,10 +48,12 @@ from dipath.reedy import (
     pushout_complex,
     pushout_steps,
     realize,
+    rewrite_steps,
 )
 from dipath.reparam import make_pl, mu
 from dipath.sampling import rand_pl
 from fixture_lib import (
+    CORPUS,
     chain_desc,
     double_globe_desc,
     edge,
@@ -65,6 +67,7 @@ from helpers import (
     all_normal_forms,
     rand_a_path,
     rand_reedy_elem,
+    rand_reedy_parts,
     unit_path,
 )
 
@@ -478,6 +481,37 @@ def test_elem_json_roundtrip():
     assert elem_from_json(data, cx) == e
 
 
+def _corpus_prefixes():
+    """Every corpus complex cut before each of its cells, with that cell."""
+    for desc in CORPUS.values():
+        for k, cell in enumerate(desc.cells):
+            yield validate(ComplexDesc(desc.states, desc.cells[:k])), cell
+
+
+def test_elements_read_their_index_object_off_their_entries():
+    # the element of an index object is that object again, through JSON
+    # too, and normalizing it follows the first rewrite step to the end
+    rng = Random(35)
+    cases = [(loopy_base(), loop_cell(), 4)] * 30
+    cases += [(*prefix, most) for prefix in _corpus_prefixes()
+              for most in (1, 2, 3, 4)]
+    checked = set()
+    for base, cell, most in cases:
+        try:
+            obj, entries = rand_reedy_parts(rng, base, cell, most)
+        except AssertionError:  # a shallow prefix has no element this long
+            continue
+        checked.add((id(base), cell.id))
+        elem = make_elem(obj, entries, base)
+        assert elem.obj == obj
+        assert elem_from_json(elem_to_json(elem), base) == elem
+        current = elem
+        while steps := rewrite_steps(current, base, cell):
+            current = steps[0]
+        assert normalize_elem(elem, base, cell) == current
+    assert len(checked) == 1 + sum(len(d.cells) for d in CORPUS.values())
+
+
 # ---------------------------------------------------------------------------
 # guards on the integer fast paths
 
@@ -585,14 +619,15 @@ def test_arrow_refusals():
     for i in (-1, 2):
         assert refusal(apply_inclusion, elem, i) == (
             "wrong_endpoints", f"no slot at {i}")
-    # make_elem refuses these slots; built by hand, the arrows' guards do
-    injected = ReedyElem(runs, (InjPath(a), InjPath(b)))
+    # built by hand, injected paths hold flag-1 slots, which the arrows
+    # refuse as they refuse any flag-1 slot
+    injected = ReedyElem("al", "ga", (InjPath(a), InjPath(b)))
     assert refusal(apply_composition, injected, 0) == (
-        "engine_error", "flag-0 slots 0 and 1 hold no base paths")
+        "not_composable_here", "slots 0 and 1 are not both flag 0")
     ab = unit_path(base, ("a", "b"))
-    lone = ReedyElem(make_obj("al", "ga", [("al", 0, "ga")]), (InjPath(ab),))
+    lone = ReedyElem("al", "ga", (InjPath(ab),))
     assert refusal(apply_inclusion, lone, 0) == (
-        "engine_error", "flag-0 slot 0 holds no base path")
+        "wrong_endpoints", "slot 0 is not a flag-0 slot running al -> ga")
     assert refusal(_demote, elem, 0, base, cell) == (
         "engine_error", "slot 0 holds no demotable entry")
 
@@ -623,7 +658,7 @@ def test_a_slot_whose_path_runs_elsewhere_is_refused(monkeypatch):
     real = WitnessPaths.slot
 
     def elsewhere(paths, word, a, b):
-        return real(paths, word, a, b)[0], real(paths, ("e",), "al", "ga")[1]
+        return real(paths, ("e",), "al", "ga")
 
     monkeypatch.setattr(WitnessPaths, "slot", elsewhere)
     assert refusal(pushout_check, base, cell, 4) == (
